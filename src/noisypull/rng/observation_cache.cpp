@@ -34,6 +34,7 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
   h_ = h;
   d_ = d;
   cum_.clear();
+  guide_.clear();
   outcomes_.clear();
 
   double total_weight = 0.0;
@@ -77,9 +78,8 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
   // draw across an outcome boundary.
   total_mass_ = 0.0;
   if (cache) {
-    const auto count = composition_count(h, d, kMaxOutcomes);
-    cum_.reserve(count);
-    if (d > 2) outcomes_.reserve(count);
+    cum_.reserve(outcome_count);
+    if (d > 2) outcomes_.reserve(outcome_count);
   }
   enumerate([&](double pmf, std::span<const std::uint64_t> counts) {
     total_mass_ += pmf;
@@ -96,6 +96,23 @@ void ObservationSampler::reset(std::uint64_t h, std::span<const double> weights,
     return true;
   });
   NOISYPULL_ASSERT(total_mass_ > 0.0);
+
+  const std::size_t m = cum_.size();
+  if (m > kLinearScanOutcomes) {
+    // One merge-like pass: the entry of bucket j is the first partial sum
+    // above its lower edge j · width.  search() scans from there, so the
+    // entry only has to be close, not exact.
+    const std::size_t buckets = kGuideBucketsPerOutcome * m;
+    const double width = total_mass_ / static_cast<double>(buckets);
+    guide_.resize(buckets);
+    guide_scale_ = static_cast<double>(buckets) / total_mass_;
+    std::size_t i = 0;
+    for (std::size_t j = 0; j < buckets; ++j) {
+      const double edge = static_cast<double>(j) * width;
+      while (i + 1 < m && cum_[i] <= edge) ++i;
+      guide_[j] = static_cast<std::uint32_t>(i);
+    }
+  }
 }
 
 template <typename Visit>
@@ -186,12 +203,7 @@ void ObservationSampler::sample(Rng& rng, SymbolCounts& obs) const {
 
   const double target = rng.next_double() * total_mass_;
   if (!cum_.empty()) {
-    // Cached: binary search the precomputed partial sums.  upper_bound finds
-    // the first index with cum_[i] > target — the same index the walk below
-    // stops at — clamped to the last outcome for target at/above the total.
-    std::size_t idx = static_cast<std::size_t>(
-        std::upper_bound(cum_.begin(), cum_.end(), target) - cum_.begin());
-    if (idx >= cum_.size()) idx = cum_.size() - 1;
+    const std::size_t idx = search(target);
     if (d_ == 2) {
       obs.c[0] = h_ - static_cast<std::uint64_t>(idx);
       obs.c[1] = static_cast<std::uint64_t>(idx);

@@ -14,12 +14,17 @@
 // may not change the trajectory.  Both modes therefore realize the *same*
 // map (uniform u → outcome): the cumulative masses are the partial sums of
 // the outcome pmfs in one canonical enumeration order, and
-//   cached    = precompute the partial sums, binary-search them,
+//   cached    = precompute the partial sums, search them for the first
+//               sum above u·total,
 //   uncached  = recompute the identical partial-sum walk per draw.
-// Same u, same sums, same outcome — bit for bit.  When the outcome space
-// exceeds kMaxOutcomes (large h with a k-ary alphabet, or h > 16383 binary)
-// both modes fall back to the conditional-binomial decomposition, which is
-// again identical on both sides of the toggle.
+// Same u, same sums, same outcome — bit for bit.  The cached search (see
+// search() below) takes O(1) expected steps at every table size: a
+// branchless count for small tables, a guide table (Chen & Asau's indexed
+// search) built next to the sums for larger ones; both return
+// upper_bound's index, so the strategy never changes a draw.  When the
+// outcome space exceeds kMaxOutcomes (large h with a k-ary alphabet, or
+// h > 16383 binary) both modes fall back to the conditional-binomial
+// decomposition, which is again identical on both sides of the toggle.
 //
 // Amortization gate: the inverse-CDF table costs one full enumeration of
 // the outcome space per round, which only pays for itself when at least as
@@ -39,7 +44,6 @@
 // samplers (tests/test_observation_cache.cpp).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -105,30 +109,15 @@ class ObservationSampler {
     // stopping rule in both cache settings, so the index returned here names
     // precisely the outcome sample() would have written.
     const double target = rng.next_double() * total_mass_;
-    if (!cum_.empty()) {
-      const std::size_t m = cum_.size();
-      std::size_t idx;
-      if (m <= kLinearScanOutcomes) {
-        // Branchless count of partial sums <= target — on a sorted array
-        // this is exactly upper_bound's index, without the data-dependent
-        // branches that mispredict about half the time on random targets.
-        std::size_t le = 0;
-        for (std::size_t i = 0; i < m; ++i) le += cum_[i] <= target ? 1 : 0;
-        idx = le;
-      } else {
-        idx = static_cast<std::size_t>(
-            std::upper_bound(cum_.begin(), cum_.end(), target) - cum_.begin());
-      }
-      if (idx >= m) idx = m - 1;
-      return static_cast<std::uint64_t>(idx);
-    }
+    if (!cum_.empty()) return search(target);
     return sample_index_uncached(target);
   }
 
-  // Below this outcome count the cached search runs the branchless linear
-  // count instead of binary search; both return the identical index, so the
-  // threshold is wall-clock-only and can never affect a trajectory.
-  static constexpr std::size_t kLinearScanOutcomes = 64;
+  // Crossover of the cached search: up to this many outcomes it runs the
+  // branchless linear count, above it the guide table.  Both return the
+  // identical index, so the threshold is wall-clock-only and can never
+  // affect a trajectory.
+  static constexpr std::size_t kLinearScanOutcomes = 12;
 
   // Visits every outcome of the canonical enumeration once, in index order:
   // visit(index, counts).  Used to build per-round transition tables (one
@@ -163,6 +152,29 @@ class ObservationSampler {
   template <typename Visit>
   void enumerate(Visit&& visit) const;
 
+  // Cached inverse-CDF search: the index of the first partial sum above
+  // target, clamped to the last outcome — std::upper_bound's answer on cum_.
+  // Small tables take a branchless count of the sums <= target among all
+  // but the last (which is the clamp), with no data-dependent branch to
+  // mispredict on random targets.  Larger ones start from the target's
+  // guide bucket and scan down, then up, to that same index: the scans make
+  // the result independent of how the bucket edge rounded, and the guide
+  // keeps them O(1) steps on average.
+  std::size_t search(double target) const {
+    const std::size_t m = cum_.size();
+    if (m <= kLinearScanOutcomes) {
+      std::size_t le = 0;
+      for (std::size_t i = 0; i + 1 < m; ++i) le += cum_[i] <= target ? 1 : 0;
+      return le;
+    }
+    std::size_t bucket = static_cast<std::size_t>(target * guide_scale_);
+    if (bucket >= guide_.size()) bucket = guide_.size() - 1;
+    std::size_t i = guide_[bucket];
+    while (i > 0 && cum_[i - 1] > target) --i;
+    while (i + 1 < m && cum_[i] <= target) ++i;
+    return i;
+  }
+
   // Cache-off half of sample_index(): the linear walk over the identical
   // partial sums, stopping at the first acc > target (or the last outcome).
   std::uint64_t sample_index_uncached(double target) const;
@@ -181,6 +193,16 @@ class ObservationSampler {
 
   // Cached inverse CDF (empty when the cache is disabled).
   std::vector<double> cum_;
+  // Guide table (Chen & Asau 1974) over kGuideBucketsPerOutcome · m
+  // equal-mass buckets of [0, total_mass_): guide_[j] is the first index
+  // whose partial sum exceeds bucket j's lower edge, clamped to m − 1.
+  // Built only above kLinearScanOutcomes; guide_scale_ = #buckets /
+  // total_mass_ maps a target to its bucket.  Four buckets per outcome keep
+  // most targets' buckets free of any outcome boundary, so the scans in
+  // search() rarely take (and mispredict) a step.
+  static constexpr std::size_t kGuideBucketsPerOutcome = 4;
+  std::vector<std::uint32_t> guide_;
+  double guide_scale_ = 0.0;
   // Outcome decode for d > 2 (binary outcomes decode analytically:
   // index k → counts (h−k, k) under the canonical enumeration).
   std::vector<std::array<std::uint32_t, kMaxAlphabet>> outcomes_;

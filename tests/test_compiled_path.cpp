@@ -227,13 +227,36 @@ FaultPlan nonzero_plan(Proto p, bool with_drop) {
 // sample_index: same draws, same outcome, by index.
 
 TEST(CompiledSampler, SampleIndexMatchesSampleDrawForDraw) {
-  for (std::size_t d : {std::size_t{2}, std::size_t{3}}) {
-    const std::vector<double> weights =
-        d == 2 ? std::vector<double>{0.3, 0.7}
-               : std::vector<double>{0.2, 0.5, 0.3};
+  // Inputs on both sides of the cached search's crossover
+  // (ObservationSampler::kLinearScanOutcomes) and at kMaxOutcomes, with
+  // runs of equal partial sums (zero-weight symbols) and a near-degenerate
+  // law.
+  struct Input {
+    std::uint64_t h;
+    std::vector<double> weights;
+  };
+  const std::vector<Input> inputs = {
+      {6, {0.3, 0.7}},
+      {6, {0.2, 0.5, 0.3}},
+      {1, {0.3, 0.7}},
+      {4, {0.3, 0.7}},
+      {11, {0.3, 0.7}},
+      {12, {0.3, 0.7}},
+      {63, {0.3, 0.7}},
+      {64, {0.3, 0.7}},
+      {126, {0.3, 0.7}},
+      {ObservationSampler::kMaxOutcomes - 1, {0.3, 0.7}},
+      {12, {0.5, 0.0, 0.5}},
+      {9, {0.35, 0.0, 0.4, 0.25}},
+      {3, {0.2, 0.1, 0.0, 0.2, 0.1, 0.15, 0.05, 0.2}},
+      {64, {1.0 - 1e-12, 1e-12}},
+      {64, {1e-12, 1.0 - 1e-12}},
+  };
+  for (const Input& in : inputs) {
+    const std::size_t d = in.weights.size();
     for (bool cache : {true, false}) {
       ObservationSampler sampler;
-      sampler.reset(/*h=*/6, weights, cache);
+      sampler.reset(in.h, in.weights, cache);
       ASSERT_EQ(sampler.mode(), ObservationSampler::Mode::InverseCdf);
 
       // Canonical enumeration, index → counts.
@@ -255,7 +278,8 @@ TEST(CompiledSampler, SampleIndexMatchesSampleDrawForDraw) {
         ASSERT_LT(index, outcomes.size());
         for (std::size_t s = 0; s < d; ++s) {
           ASSERT_EQ(outcomes[index][s], obs[static_cast<Symbol>(s)])
-              << "d=" << d << " cache=" << cache << " draw=" << draw;
+              << "h=" << in.h << " d=" << d << " cache=" << cache
+              << " draw=" << draw;
         }
       }
       // Identical rng consumption: the streams stay in lockstep.
@@ -362,8 +386,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{Proto::Sf, Eng::Heterogeneous},
                       Case{Proto::Ssf, Eng::Aggregate},
                       Case{Proto::Ssf, Eng::Heterogeneous}),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return proto_name(info.param.proto) + eng_name(info.param.eng);
+    [](const ::testing::TestParamInfo<Case>& param_info) {
+      return proto_name(param_info.param.proto) +
+             eng_name(param_info.param.eng);
     });
 
 // ---------------------------------------------------------------------------

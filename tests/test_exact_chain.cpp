@@ -218,12 +218,16 @@ std::vector<ChainClass> make_test_classes(const TableAutomaton& automaton) {
   classes[0] = {.size = 2,
                 .automaton = &automaton,
                 .initial = 0,
-                .channel = NoiseMatrix::uniform(2, 0.2).matrix()};
+                .channel = NoiseMatrix::uniform(2, 0.2).matrix(),
+                .forged = {},
+                .stall = {}};
   classes[1] = {.size = 1,
                 .automaton = &automaton,
                 .initial = 1,
                 .channel =
-                    NoiseMatrix::random_upper_bounded(2, 0.3, rng).matrix()};
+                    NoiseMatrix::random_upper_bounded(2, 0.3, rng).matrix(),
+                .forged = {},
+                .stall = {}};
   return classes;
 }
 
@@ -238,7 +242,7 @@ TEST(ExactChain, SynchronousMatchesLabelledBruteForce) {
   const auto of = expand_agents(classes);
   const Holdings h{2};
 
-  ExactChain chain(classes, {.h = h});
+  ExactChain chain(classes, {.h = h, .channel_override = {}});
   LDist brute;
   brute[{0, 0, 1}] = 1.0;
 
@@ -259,7 +263,9 @@ TEST(ExactChain, SequentialMatchesLabelledBruteForce) {
 
   ExactChain chain(
       classes,
-      {.h = h, .kernel = ExactChainOptions::Kernel::SequentialAscending});
+      {.h = h,
+       .kernel = ExactChainOptions::Kernel::SequentialAscending,
+       .channel_override = {}});
   LDist brute;
   brute[{0, 0, 1}] = 1.0;
 
@@ -303,10 +309,14 @@ TEST(ExactChain, MassIsConservedAndPruningIsAccounted) {
   classes[0] = {.size = 3,
                 .automaton = &automaton,
                 .initial = 0,
-                .channel = NoiseMatrix::uniform(2, 1e-5).matrix()};
+                .channel = NoiseMatrix::uniform(2, 1e-5).matrix(),
+                .forged = {},
+                .stall = {}};
 
-  ExactChain exact(classes, {.h = Holdings{2}});
-  ExactChain pruned(classes, {.h = Holdings{2}, .prune_epsilon = 1e-4});
+  ExactChain exact(classes, {.h = Holdings{2}, .channel_override = {}});
+  ExactChain pruned(
+      classes,
+      {.h = Holdings{2}, .prune_epsilon = 1e-4, .channel_override = {}});
   for (int round = 0; round < 5; ++round) {
     exact.step();
     pruned.step();
@@ -336,11 +346,14 @@ TEST(ExactChain, KernelsAgreeForOneAgent) {
   classes[0] = {.size = 1,
                 .automaton = &automaton,
                 .initial = 2,
-                .channel = NoiseMatrix::uniform(2, 0.1).matrix()};
-  ExactChain sync(classes, {.h = Holdings{3}});
+                .channel = NoiseMatrix::uniform(2, 0.1).matrix(),
+                .forged = {},
+                .stall = {}};
+  ExactChain sync(classes, {.h = Holdings{3}, .channel_override = {}});
   ExactChain seq(classes,
                  {.h = Holdings{3},
-                  .kernel = ExactChainOptions::Kernel::SequentialAscending});
+                  .kernel = ExactChainOptions::Kernel::SequentialAscending,
+                  .channel_override = {}});
   for (int round = 0; round < 4; ++round) {
     sync.step();
     seq.step();
@@ -352,7 +365,7 @@ TEST(ExactChain, KernelsAgreeForOneAgent) {
 TEST(ExactChain, DisplayMeanMatchesDistribution) {
   const auto automaton = make_test_automaton();
   const auto classes = make_test_classes(automaton);
-  ExactChain chain(classes, {.h = Holdings{2}});
+  ExactChain chain(classes, {.h = Holdings{2}, .channel_override = {}});
   chain.step();
   chain.step();
   const auto dist = chain.display_distribution();
@@ -473,29 +486,36 @@ TEST(ExactChain, RejectsInvalidConfigurations) {
   ChainClass good{.size = 2,
                   .automaton = &automaton,
                   .initial = 0,
-                  .channel = NoiseMatrix::uniform(2, 0.2).matrix()};
+                  .channel = NoiseMatrix::uniform(2, 0.2).matrix(),
+                  .forged = {},
+                  .stall = {}};
   EXPECT_THROW(ExactChain({}, {}), std::invalid_argument);
   {
     auto bad = good;
     bad.size = 0;
-    EXPECT_THROW(ExactChain({bad}, {.h = Holdings{1}}), std::invalid_argument);
+    EXPECT_THROW(ExactChain({bad}, {.h = Holdings{1}, .channel_override = {}}),
+                 std::invalid_argument);
   }
   {
     auto bad = good;
     bad.automaton = nullptr;
-    EXPECT_THROW(ExactChain({bad}, {.h = Holdings{1}}), std::invalid_argument);
+    EXPECT_THROW(ExactChain({bad}, {.h = Holdings{1}, .channel_override = {}}),
+                 std::invalid_argument);
   }
   {
     auto bad = good;
     bad.channel = NoiseMatrix::uniform(4, 0.1).matrix();
-    EXPECT_THROW(ExactChain({bad}, {.h = Holdings{1}}), std::invalid_argument);
+    EXPECT_THROW(ExactChain({bad}, {.h = Holdings{1}, .channel_override = {}}),
+                 std::invalid_argument);
   }
   {
     auto bad = good;
     bad.forged = DisplayOverride::constant(5);
-    EXPECT_THROW(ExactChain({bad}, {.h = Holdings{1}}), std::invalid_argument);
+    EXPECT_THROW(ExactChain({bad}, {.h = Holdings{1}, .channel_override = {}}),
+                 std::invalid_argument);
   }
-  EXPECT_THROW(ExactChain({good}, {.h = Holdings{0}}), std::invalid_argument);
+  EXPECT_THROW(ExactChain({good}, {.h = Holdings{0}, .channel_override = {}}),
+               std::invalid_argument);
 }
 
 }  // namespace

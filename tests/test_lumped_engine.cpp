@@ -88,7 +88,9 @@ TEST(LumpedEngine, InactiveFaultFieldsAreBitIdentical) {
     LumpedClass cls{.count = AgentCount{25},
                     .automaton = &table,
                     .initial = 0,
-                    .channel = channel};
+                    .channel = channel,
+                    .forged = {},
+                    .stall = {}};
     if (explicit_no_fault) {
       cls.forged = DisplayOverride::none();
       cls.stall = StallWindow{.start = 0, .rounds = 0};
@@ -97,7 +99,9 @@ TEST(LumpedEngine, InactiveFaultFieldsAreBitIdentical) {
     classes.push_back(LumpedClass{.count = AgentCount{15},
                                   .automaton = &table,
                                   .initial = 1,
-                                  .channel = channel});
+                                  .channel = channel,
+                                  .forged = {},
+                                  .stall = {}});
     return std::make_unique<LumpedEngine>(std::move(classes));
   };
   auto defaulted = build(false);
@@ -136,11 +140,15 @@ TEST(LumpedEngine, ConstructorRejectsPopulationOverflow) {
   classes.push_back(LumpedClass{.count = AgentCount{1ULL << 63},
                                 .automaton = &table,
                                 .initial = 0,
-                                .channel = channel});
+                                .channel = channel,
+                                .forged = {},
+                                .stall = {}});
   classes.push_back(LumpedClass{.count = AgentCount{1ULL << 63},
                                 .automaton = &table,
                                 .initial = 0,
-                                .channel = channel});
+                                .channel = channel,
+                                .forged = {},
+                                .stall = {}});
   EXPECT_THROW(LumpedEngine{std::move(classes)}, std::invalid_argument);
 }
 
@@ -160,7 +168,9 @@ TEST(LumpedEngine, StepConservesCountsNearTwoToTheSixtyTwo) {
   classes.push_back(LumpedClass{.count = AgentCount{huge},
                                 .automaton = &table,
                                 .initial = 0,
-                                .channel = channel});
+                                .channel = channel,
+                                .forged = {},
+                                .stall = {}});
   LumpedEngine engine(std::move(classes));
   Rng rng(kSeed, 0);
   for (std::uint64_t round = 0; round < 3; ++round) {

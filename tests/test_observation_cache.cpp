@@ -115,16 +115,44 @@ TEST(ObservationSampler, ZeroRoundsDrawIsAllZero) {
 TEST(ObservationSampler, CacheToggleIsDrawForDrawIdentical) {
   // Same seed, same draw index → identical count vector with the table on
   // and off; this is the micro-level version of the engine digest test.
-  ObservationSampler cached, uncached;
-  const std::vector<double> q = {0.35, 0.05, 0.4, 0.2};
-  cached.reset(9, q, /*cache=*/true);
-  uncached.reset(9, q, /*cache=*/false);
-  Rng rng_a(42), rng_b(42);
-  for (int i = 0; i < 500; ++i) {
-    const auto a = draw(cached, rng_a, q.size());
-    const auto b = draw(uncached, rng_b, q.size());
-    for (std::size_t sym = 0; sym < q.size(); ++sym) {
-      ASSERT_EQ(a[sym], b[sym]) << "draw " << i << " symbol " << sym;
+  // The inputs put the cached search on both sides of kLinearScanOutcomes
+  // and at kMaxOutcomes (binary h + 1 outcomes), give it runs of equal
+  // partial sums (zero-weight symbols), and a near-degenerate law whose
+  // guide buckets nearly all start at one end of the table.
+  struct Input {
+    std::uint64_t h;
+    std::vector<double> q;
+  };
+  const std::vector<Input> inputs = {
+      {9, {0.35, 0.05, 0.4, 0.2}},
+      {1, {0.3, 0.7}},
+      {4, {0.3, 0.7}},
+      {11, {0.3, 0.7}},
+      {12, {0.3, 0.7}},
+      {63, {0.3, 0.7}},
+      {64, {0.3, 0.7}},
+      {126, {0.3, 0.7}},
+      {ObservationSampler::kMaxOutcomes - 1, {0.3, 0.7}},
+      {3, {0.5, 0.0, 0.5}},
+      {12, {0.5, 0.0, 0.5}},
+      {9, {0.35, 0.0, 0.4, 0.25}},
+      {3, {0.2, 0.1, 0.0, 0.2, 0.1, 0.15, 0.05, 0.2}},
+      {64, {1.0 - 1e-12, 1e-12}},
+      {64, {1e-12, 1.0 - 1e-12}},
+  };
+  for (const Input& in : inputs) {
+    ObservationSampler cached, uncached;
+    cached.reset(in.h, in.q, /*cache=*/true);
+    uncached.reset(in.h, in.q, /*cache=*/false);
+    ASSERT_EQ(cached.mode(), ObservationSampler::Mode::InverseCdf);
+    Rng rng_a(42), rng_b(42);
+    for (int i = 0; i < 500; ++i) {
+      const auto a = draw(cached, rng_a, in.q.size());
+      const auto b = draw(uncached, rng_b, in.q.size());
+      for (std::size_t sym = 0; sym < in.q.size(); ++sym) {
+        ASSERT_EQ(a[sym], b[sym]) << "h=" << in.h << " d=" << in.q.size()
+                                  << " draw " << i << " symbol " << sym;
+      }
     }
   }
 }

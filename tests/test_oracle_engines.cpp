@@ -39,12 +39,16 @@ TEST(OracleEngines, AggregateMatchesExactChain) {
   classes[0] = {.size = 5,
                 .automaton = &automaton,
                 .initial = 0,
-                .channel = noise.matrix()};
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
   classes[1] = {.size = 3,
                 .automaton = &automaton,
                 .initial = 1,
-                .channel = noise.matrix()};
-  ExactChain chain(classes, {.h = h});
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
+  ExactChain chain(classes, {.h = h, .channel_override = {}});
 
   const auto empirical = run_replicates(
       [&] {
@@ -68,14 +72,20 @@ TEST(OracleEngines, SequentialAscendingMatchesExactChain) {
   classes[0] = {.size = 4,
                 .automaton = &automaton,
                 .initial = 0,
-                .channel = noise.matrix()};
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
   classes[1] = {.size = 2,
                 .automaton = &automaton,
                 .initial = 2,
-                .channel = noise.matrix()};
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
   ExactChain chain(
       classes,
-      {.h = h, .kernel = ExactChainOptions::Kernel::SequentialAscending});
+      {.h = h,
+       .kernel = ExactChainOptions::Kernel::SequentialAscending,
+       .channel_override = {}});
 
   const auto empirical = run_replicates(
       [&] {
@@ -103,12 +113,16 @@ TEST(OracleEngines, HeterogeneousMatchesExactChain) {
   classes[0] = {.size = 4,
                 .automaton = &automaton,
                 .initial = 0,
-                .channel = clean.matrix()};
+                .channel = clean.matrix(),
+                .forged = {},
+                .stall = {}};
   classes[1] = {.size = 3,
                 .automaton = &automaton,
                 .initial = 1,
-                .channel = dirty.matrix()};
-  ExactChain chain(classes, {.h = h});
+                .channel = dirty.matrix(),
+                .forged = {},
+                .stall = {}};
+  ExactChain chain(classes, {.h = h, .channel_override = {}});
 
   std::vector<NoiseMatrix> per_agent;
   for (int i = 0; i < 4; ++i) per_agent.push_back(clean);
@@ -162,12 +176,15 @@ TEST(OracleEngines, FaultyEngineMatchesExactChain) {
   classes[1] = {.size = 4,
                 .automaton = &automaton,
                 .initial = 0,
-                .channel = noise.matrix()};
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
   classes[2] = {.size = 2,
                 .automaton = &automaton,
                 .initial = 1,
                 .channel = noise.matrix(),
-                .forged = oracle_test::byzantine_override(plan)};
+                .forged = oracle_test::byzantine_override(plan),
+                .stall = {}};
   ExactChain chain(classes,
                    {.h = h,
                     .channel_override =
@@ -207,19 +224,26 @@ TEST(OracleEngines, SourceFilterMatchesExactChain) {
   classes[0] = {.size = 1,
                 .automaton = &source1,
                 .initial = 0,
-                .channel = noise.matrix()};
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
   classes[1] = {.size = 1,
                 .automaton = &source0,
                 .initial = 0,
-                .channel = noise.matrix()};
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
   classes[2] = {.size = 3,
                 .automaton = &plain,
                 .initial = 0,
-                .channel = noise.matrix()};
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
   // SF's interned counter states make the joint support large; pruning at
   // 1e-8 bounds it, and compare_to_oracle widens every tolerance by the
   // truncated mass.
-  ExactChain chain(classes, {.h = h, .prune_epsilon = 1e-8});
+  ExactChain chain(classes,
+                   {.h = h, .prune_epsilon = 1e-8, .channel_override = {}});
 
   const auto empirical = run_replicates(
       [&] { return std::make_unique<SourceFilter>(pop, sched); },
@@ -243,12 +267,16 @@ TEST(OracleEngines, SsfMatchesExactChain) {
   classes[0] = {.size = 1,
                 .automaton = &source,
                 .initial = 0,
-                .channel = noise.matrix()};
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
   classes[1] = {.size = 4,
                 .automaton = &plain,
                 .initial = 0,
-                .channel = noise.matrix()};
-  ExactChain chain(classes, {.h = h});
+                .channel = noise.matrix(),
+                .forged = {},
+                .stall = {}};
+  ExactChain chain(classes, {.h = h, .channel_override = {}});
 
   const auto empirical = run_replicates(
       [&] {

@@ -7,7 +7,9 @@
 //
 // Reproducibility contract: the whole campaign is a pure function of
 // kFuzzSeed — tuple i derives everything from Rng(kFuzzSeed, i), so any
-// failure names a tuple index that replays bit-identically.
+// failure names a tuple index that replays bit-identically.  The campaign
+// is split into shards (separate ctest entries); the knobs below select
+// tuples across the whole campaign, not per shard.
 //
 //   NOISYPULL_ORACLE_MAX_TUPLES=<k>   run only the first k tuples (CI smoke)
 //   NOISYPULL_ORACLE_TUPLE=<i>        run exactly tuple i (failure repro)
@@ -298,14 +300,18 @@ TupleOutcome run_tuple(std::uint64_t index) {
     classes.push_back({.size = 1,
                        .automaton = src1,
                        .initial = 0,
-                       .channel = noise.matrix()});
+                       .channel = noise.matrix(),
+                       .forged = {},
+                       .stall = {}});
     class_noise.push_back(noise);
     if (pop.s0 > 0) {
       automata.push_back(std::make_unique<SfAutomaton>(sched, true, 0));
       classes.push_back({.size = pop.s0,
                          .automaton = automata.back().get(),
                          .initial = 0,
-                         .channel = noise.matrix()});
+                         .channel = noise.matrix(),
+                         .forged = {},
+                         .stall = {}});
       class_noise.push_back(noise);
     }
     // Non-sources take the dirty channel under the heterogeneous engine.
@@ -314,7 +320,9 @@ TupleOutcome run_tuple(std::uint64_t index) {
     classes.push_back({.size = n - pop.num_sources(),
                        .automaton = plain,
                        .initial = 0,
-                       .channel = plain_noise.matrix()});
+                       .channel = plain_noise.matrix(),
+                       .forged = {},
+                       .stall = {}});
     class_noise.push_back(plain_noise);
     make_protocol = [pop, sched] {
       return std::make_unique<SourceFilter>(pop, sched);
@@ -332,7 +340,9 @@ TupleOutcome run_tuple(std::uint64_t index) {
     classes.push_back({.size = 1,
                        .automaton = src,
                        .initial = 0,
-                       .channel = noise.matrix()});
+                       .channel = noise.matrix(),
+                       .forged = {},
+                       .stall = {}});
     class_noise.push_back(noise);
     // Non-source layout in agent-index order: [blackout][middle][byzantine];
     // agent 0 (the source) is fault-immune via first_eligible = 1.
@@ -434,15 +444,60 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return std::strtoull(value, nullptr, 10);
 }
 
-TEST(OracleFuzz, RandomTuplesMatchExactChain) {
+// The campaign runs as kShards value-parameterized tests, which
+// gtest_discover_tests registers as separate ctest entries, so `ctest -j`
+// spreads it over cores.  Shard s owns tuples s, s + kShards, ...:
+// kShards = 15 is coprime to the 4 engine kinds, so every shard mixes all
+// of them, and a NOISYPULL_ORACLE_MAX_TUPLES bound of k spreads its first k
+// tuples over min(k, kShards) shards.
+constexpr std::uint64_t kShards = 15;
+
+std::vector<std::uint64_t> shard_tuples(std::uint64_t shard) {
+  std::vector<std::uint64_t> tuples;
+  for (std::uint64_t i = shard; i < kNumTuples; i += kShards) {
+    tuples.push_back(i);
+  }
+  return tuples;
+}
+
+// Whether the environment selects tuple i: exactly NOISYPULL_ORACLE_TUPLE
+// when it names a tuple, else the first NOISYPULL_ORACLE_MAX_TUPLES tuples
+// of the whole campaign (all 120 by default).
+bool tuple_selected(std::uint64_t i) {
   const std::uint64_t only =
       env_u64("NOISYPULL_ORACLE_TUPLE", kNumTuples);  // sentinel: run all
   const std::uint64_t max_tuples =
       env_u64("NOISYPULL_ORACLE_MAX_TUPLES", kNumTuples);
+  if (max_tuples == 0) return false;
+  if (only < kNumTuples) return i == only;
+  return i < max_tuples;
+}
+
+TEST(OracleFuzzShards, PartitionTheTuples) {
+  std::vector<int> owners(kNumTuples, 0);
+  for (std::uint64_t shard = 0; shard < kShards; ++shard) {
+    for (const std::uint64_t i : shard_tuples(shard)) {
+      ASSERT_LT(i, kNumTuples) << "shard " << shard;
+      ++owners[i];
+    }
+  }
+  for (std::uint64_t i = 0; i < kNumTuples; ++i) {
+    EXPECT_EQ(owners[i], 1) << "tuple " << i;
+  }
+}
+
+class OracleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OracleFuzz, RandomTuplesMatchExactChain) {
+  bool any_selected = false;
+  for (std::uint64_t i = 0; i < kNumTuples; ++i) {
+    any_selected = any_selected || tuple_selected(i);
+  }
+  ASSERT_TRUE(any_selected) << "the environment selects no fuzz tuple";
 
   std::uint64_t ran = 0;
-  for (std::uint64_t i = 0; i < kNumTuples && ran < max_tuples; ++i) {
-    if (only < kNumTuples && i != only) continue;
+  for (const std::uint64_t i : shard_tuples(GetParam())) {
+    if (!tuple_selected(i)) continue;
     ++ran;
     const auto outcome = run_tuple(i);
     if (!outcome.failure.empty()) {
@@ -453,8 +508,11 @@ TEST(OracleFuzz, RandomTuplesMatchExactChain) {
                        " --gtest_filter='OracleFuzz.*'";
     }
   }
-  ASSERT_GT(ran, 0u);
+  if (ran == 0) GTEST_SKIP() << "no selected tuple in this shard";
 }
+
+INSTANTIATE_TEST_SUITE_P(, OracleFuzz,
+                         ::testing::Range<std::uint64_t>(0, kShards));
 
 }  // namespace
 }  // namespace noisypull

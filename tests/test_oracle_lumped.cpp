@@ -84,11 +84,11 @@ TEST(OracleLumped, SourceFilterSmallN) {
   automata.push_back(std::make_unique<SfAutomaton>(sched, false, 0));
   const std::vector<ChainClass> classes = {
       {.size = 1, .automaton = automata[0].get(), .initial = 0,
-       .channel = noise.matrix()},
+       .channel = noise.matrix(), .forged = {}, .stall = {}},
       {.size = 1, .automaton = automata[1].get(), .initial = 0,
-       .channel = noise.matrix()},
+       .channel = noise.matrix(), .forged = {}, .stall = {}},
       {.size = 4, .automaton = automata[2].get(), .initial = 0,
-       .channel = noise.matrix()}};
+       .channel = noise.matrix(), .forged = {}, .stall = {}}};
   ExactChainOptions options;
   options.h = Holdings{2};
   options.prune_epsilon = kPrune;
@@ -111,9 +111,9 @@ TEST(OracleLumped, SelfStabilizingSourceFilterSmallN) {
   automata.push_back(std::make_unique<SsfAutomaton>(m, false, 0));
   const std::vector<ChainClass> classes = {
       {.size = 1, .automaton = automata[0].get(), .initial = 0,
-       .channel = noise.matrix()},
+       .channel = noise.matrix(), .forged = {}, .stall = {}},
       {.size = 4, .automaton = automata[1].get(), .initial = 0,
-       .channel = noise.matrix()}};
+       .channel = noise.matrix(), .forged = {}, .stall = {}}};
   ExactChainOptions options;
   options.h = Holdings{1};
   options.prune_epsilon = kPrune;
@@ -141,9 +141,9 @@ TEST(OracleLumped, ForgedAndStalledClasses) {
 
   const std::vector<ChainClass> classes = {
       {.size = 3, .automaton = &table, .initial = 0,
-       .channel = noise.matrix()},
+       .channel = noise.matrix(), .forged = {}, .stall = {}},
       {.size = 2, .automaton = &table, .initial = 1,
-       .channel = noise.matrix(), .forged = forged},
+       .channel = noise.matrix(), .forged = forged, .stall = {}},
       {.size = 2, .automaton = &table, .initial = 0,
        .channel = noise.matrix(), .forged = DisplayOverride::none(),
        .stall = stall}};
@@ -156,9 +156,9 @@ TEST(OracleLumped, ForgedAndStalledClasses) {
     LumpedSetup setup;
     std::vector<LumpedClass> lumped = {
         {.count = AgentCount{3}, .automaton = &table, .initial = 0,
-         .channel = noise.matrix()},
+         .channel = noise.matrix(), .forged = {}, .stall = {}},
         {.count = AgentCount{2}, .automaton = &table, .initial = 1,
-         .channel = noise.matrix(), .forged = forged},
+         .channel = noise.matrix(), .forged = forged, .stall = {}},
         {.count = AgentCount{2}, .automaton = &table, .initial = 0,
          .channel = noise.matrix(), .forged = DisplayOverride::none(),
          .stall = stall}};
@@ -186,9 +186,9 @@ TEST(OracleLumped, ArtificialNoiseComposition) {
 
   const std::vector<ChainClass> classes = {
       {.size = 4, .automaton = &table, .initial = 0,
-       .channel = noise.matrix() * artificial},
+       .channel = noise.matrix() * artificial, .forged = {}, .stall = {}},
       {.size = 3, .automaton = &table, .initial = 1,
-       .channel = noise.matrix() * artificial}};
+       .channel = noise.matrix() * artificial, .forged = {}, .stall = {}}};
   ExactChainOptions options;
   options.h = Holdings{1};
   options.prune_epsilon = kPrune;
@@ -198,9 +198,9 @@ TEST(OracleLumped, ArtificialNoiseComposition) {
     LumpedSetup setup;
     std::vector<LumpedClass> lumped = {
         {.count = AgentCount{4}, .automaton = &table, .initial = 0,
-         .channel = noise.matrix()},
+         .channel = noise.matrix(), .forged = {}, .stall = {}},
         {.count = AgentCount{3}, .automaton = &table, .initial = 1,
-         .channel = noise.matrix()}};
+         .channel = noise.matrix(), .forged = {}, .stall = {}}};
     setup.engine = std::make_unique<LumpedEngine>(std::move(lumped));
     setup.engine->set_artificial_noise(artificial);
     return setup;
