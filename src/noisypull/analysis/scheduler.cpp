@@ -461,9 +461,8 @@ std::uint64_t cell_cache_key(const ExperimentCell& cell) {
   } else {
     key.u64(0);
   }
-  // RunConfig: engine_threads and compiled are trajectory-invariant and
-  // deliberately excluded (the header comment's invalidation contract) —
-  // a cached interpreted run answers for a compiled one and vice versa.
+  // RunConfig: engine_threads is trajectory-invariant and deliberately
+  // excluded (the header comment's invalidation contract).
   // Engine kind: 0 = exact, 1 = aggregate, 2 = lumped.  The lumped engine
   // is distribution-equivalent but not trajectory-identical to the agent
   // engines, so it must never share cache entries with them; the first two

@@ -1,44 +1,21 @@
 // core/automaton — finite per-agent state machines as first-class objects.
 //
-// PR 7 introduced AgentAutomaton as the exact-oracle's view of one agent: a
-// finite state set with an exact per-(state, observation) transition *law*.
-// This module promotes that interface from oracle mirror to production
-// citizen (DESIGN.md §13): the same interned state machines now also drive
-// the engines' compiled fast path, where per-agent protocol state is one
-// flat vector of interned state ids and the round kernel runs table lookups
-// instead of virtual display()/update() calls.
+// AgentAutomaton is the exact view of one agent: a finite state set with an
+// exact per-(state, observation) transition *law*.  transition(state, round,
+// obs) returns the probability law of the next state, with protocol coin
+// tosses as probability splits.  Three consumers share it:
 //
-// Two complementary views of one automaton:
-//
-//  * transition(state, round, obs) — the exact probability law of the next
-//    state.  Consumed by theory/exact_chain (the oracle) and by the default
-//    compile() below.  Protocol coin tosses appear as probability splits.
-//
-//  * compile(state, round, obs) — the *sampling procedure* for the next
-//    state, as a CompiledEdge.  Consumed by the compiled engine path
-//    (core/automaton/compiled_population.hpp).  The edge must consume the
-//    agent's Rng EXACTLY as the production protocol it mirrors would: the
-//    engines hand every agent of a block one shared substream in sequence,
-//    so one extra or missing draw shifts every later agent of the block and
-//    breaks the bit-identity contract (tests/test_compiled_path.cpp).  The
-//    default wraps transition() in a single-uniform inverse-CDF edge —
-//    bit-identical to AutomatonProtocol::update, which is the interpreted
-//    reference for synthetic table automata.
-//
-// The signature hooks bound memoization: two rounds with equal
-// update_signature() must have identical transition/compile behavior, and
-// two rounds with equal display_signature() identical display behavior.
-// The defaults return the round number — always correct, never reusing a
-// table across rounds; protocol mirrors override them with their small
-// phase alphabet so memo tables persist across the whole run.
+//  * theory/exact_chain (the oracle) enumerates the laws exactly,
+//  * sim/lumped_engine advances whole-population state histograms,
+//  * AutomatonProtocol (protocol_automata.hpp) samples one agent's next
+//    state from the law, so the Monte-Carlo engines run the same dynamics
+//    the oracle enumerates.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "noisypull/common/symbols.hpp"
-#include "noisypull/rng/rng.hpp"
 
 namespace noisypull {
 
@@ -51,66 +28,6 @@ struct WeightedState {
   double prob = 0.0;
 };
 
-// One compiled transition: how to sample the successor state for a fixed
-// (state, round-signature, observation) triple.  The Kind determines both
-// the successor map and the exact Rng consumption:
-//
-//   Deterministic — no draw; successor target[0].
-//   Coin          — one next_bool(); true → target[1], false → target[0]
-//                   (matching the protocols' `rng.next_bool() ? 1 : 0` tie
-//                   break, heads landing on opinion 1).
-//   CoinPair      — two next_bool() draws b1 then b2 (SSF: weak tie first,
-//                   then opinion tie); successor target[(b1?2:0) | (b2?1:0)].
-//   InverseCdf    — one next_double(); walk `law` accumulating prob until
-//                   u < acc, falling through to the last entry — the exact
-//                   loop of AutomatonProtocol::update.
-struct CompiledEdge {
-  enum class Kind : std::uint8_t { Deterministic, Coin, CoinPair, InverseCdf };
-
-  Kind kind = Kind::Deterministic;
-  std::array<AutomatonState, 4> target{};
-  std::vector<WeightedState> law;  // InverseCdf only, in summation order
-
-  static CompiledEdge deterministic(AutomatonState to) {
-    CompiledEdge e;
-    e.kind = Kind::Deterministic;
-    e.target[0] = to;
-    return e;
-  }
-  static CompiledEdge coin(AutomatonState tails, AutomatonState heads) {
-    CompiledEdge e;
-    e.kind = Kind::Coin;
-    e.target[0] = tails;
-    e.target[1] = heads;
-    return e;
-  }
-
-  // Samples the successor, consuming the Kind's exact draw pattern.
-  AutomatonState resolve(Rng& rng) const {
-    switch (kind) {
-      case Kind::Deterministic:
-        return target[0];
-      case Kind::Coin:
-        return rng.next_bool() ? target[1] : target[0];
-      case Kind::CoinPair: {
-        const bool b1 = rng.next_bool();  // first tie (SSF: weak opinion)
-        const bool b2 = rng.next_bool();  // second tie (SSF: opinion)
-        return target[(b1 ? 2U : 0U) | (b2 ? 1U : 0U)];
-      }
-      case Kind::InverseCdf: {
-        const double u = rng.next_double();
-        double acc = 0.0;
-        for (const WeightedState& ws : law) {
-          acc += ws.prob;
-          if (u < acc) return ws.state;
-        }
-        return law.back().state;  // rounding slack lands on the last entry
-      }
-    }
-    return target[0];  // unreachable; keeps -Wreturn-type quiet
-  }
-};
-
 // A finite per-agent state machine: the exact counterpart of one agent's
 // PullProtocol slice.  display() must match PullProtocol::display for the
 // agent's role and transition() must return the *exact* distribution of the
@@ -120,7 +37,7 @@ struct CompiledEdge {
 //
 // Thread-safety contract: interning automata (SF/SSF mirrors) are called
 // from the engines' block-parallel update phase through
-// CompiledPopulation::update, so compile()/transition() must be internally
+// AutomatonProtocol::update, so transition() must be internally
 // synchronized (the mirrors guard their intern tables with a mutex).  The
 // *ids* handed out then depend on call interleaving, which is harmless:
 // every observable — display, opinion, transition law — is a function of
@@ -137,33 +54,11 @@ class AgentAutomaton {
 
   // Opinion an agent in `state` reports — the PullProtocol::opinion
   // counterpart, needed wherever convergence is judged from automaton states
-  // (AutomatonProtocol, sim/lumped_engine, the compiled path).  The default
-  // matches the TableAutomaton fuzz family's encoding (opinion = low state
-  // bit); the SF/SSF mirrors override it to read the interned `current`
-  // field.
+  // (AutomatonProtocol, sim/lumped_engine).  The default matches the
+  // TableAutomaton fuzz family's encoding (opinion = low state bit); the
+  // SF/SSF mirrors override it to read the interned `current` field.
   virtual Opinion opinion(AutomatonState state) const {
     return static_cast<Opinion>(state & 1);
-  }
-
-  // Sampling procedure for one update (see the header comment).  Default:
-  // one-uniform inverse-CDF over transition() — bit-identical to
-  // AutomatonProtocol::update and correct for every automaton, at the cost
-  // of always consuming one next_double even for deterministic laws.
-  virtual CompiledEdge compile(AutomatonState state, std::uint64_t round,
-                               const SymbolCounts& obs) const {
-    CompiledEdge e;
-    e.kind = CompiledEdge::Kind::InverseCdf;
-    e.law = transition(state, round, obs);
-    return e;
-  }
-
-  // Memoization keys: equal signatures promise equal behavior (header
-  // comment).  Defaults never reuse anything across rounds.
-  virtual std::uint64_t update_signature(std::uint64_t round) const {
-    return round;
-  }
-  virtual std::uint64_t display_signature(std::uint64_t round) const {
-    return round;
   }
 };
 

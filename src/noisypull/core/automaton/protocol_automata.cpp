@@ -102,20 +102,6 @@ bool SfAutomaton::is_subphase_end(std::uint64_t round) const noexcept {
   return off + 1 == short_span + schedule_.final_rounds;
 }
 
-std::uint64_t SfAutomaton::update_signature(std::uint64_t round) const {
-  if (round < schedule_.phase_rounds) return 0;  // Phase 0: count 1s
-  if (round < schedule_.boosting_start()) {      // Phase 1: count 0s, ...
-    return round + 1 == schedule_.boosting_start() ? 2 : 1;  // ... then finish
-  }
-  if (round >= schedule_.total_rounds()) return 5;  // terminated (identity)
-  return is_subphase_end(round) ? 4 : 3;  // boosting: sub-phase end / middle
-}
-
-std::uint64_t SfAutomaton::display_signature(std::uint64_t round) const {
-  if (round < schedule_.phase_rounds) return 0;
-  return round < schedule_.boosting_start() ? 1 : 2;
-}
-
 std::vector<WeightedState> SfAutomaton::transition(
     AutomatonState state, std::uint64_t round, const SymbolCounts& obs) const {
   NOISYPULL_CHECK(obs.size == 2, "SF expects a binary alphabet");
@@ -172,65 +158,6 @@ std::vector<WeightedState> SfAutomaton::transition(
   Concrete tails = c;
   tails.current = 0;
   return coin_split(intern(heads), intern(tails));
-}
-
-// Same branch structure as transition(), but returning the *sampling
-// procedure* with SourceFilter::update's exact draw pattern: no draw on
-// deterministic moves, one next_bool() per realized tie (heads → opinion 1).
-CompiledEdge SfAutomaton::compile(AutomatonState state, std::uint64_t round,
-                                  const SymbolCounts& obs) const {
-  NOISYPULL_CHECK(obs.size == 2, "SF expects a binary alphabet");
-  const std::lock_guard<std::mutex> lock(intern_mutex_);
-  NOISYPULL_ASSERT(state < states_.size());
-  Concrete c = states_[state];
-
-  if (round < schedule_.phase_rounds) {
-    c.counter1 += obs[1];
-    return CompiledEdge::deterministic(intern(c));
-  }
-  if (round < schedule_.boosting_start()) {
-    c.counter0 += obs[0];
-    if (round + 1 != schedule_.boosting_start()) {
-      return CompiledEdge::deterministic(intern(c));
-    }
-    const bool tie = c.counter1 == c.counter0;
-    const Opinion majority = c.counter1 > c.counter0 ? 1 : 0;
-    c.counter1 = 0;
-    c.counter0 = 0;
-    c.boost_ones = 0;
-    c.boost_total = 0;
-    if (!tie) {
-      c.weak = majority;
-      c.current = majority;
-      return CompiledEdge::deterministic(intern(c));
-    }
-    Concrete heads = c;
-    heads.weak = 1;
-    heads.current = 1;
-    Concrete tails = c;
-    tails.weak = 0;
-    tails.current = 0;
-    return CompiledEdge::coin(intern(tails), intern(heads));
-  }
-  if (round >= schedule_.total_rounds()) {
-    return CompiledEdge::deterministic(state);
-  }
-  c.boost_ones += obs[1];
-  c.boost_total += obs.total();
-  if (!is_subphase_end(round)) return CompiledEdge::deterministic(intern(c));
-  const std::uint64_t zeros = c.boost_total - c.boost_ones;
-  const std::uint64_t ones = c.boost_ones;
-  c.boost_ones = 0;
-  c.boost_total = 0;
-  if (ones != zeros) {
-    c.current = ones > zeros ? 1 : 0;
-    return CompiledEdge::deterministic(intern(c));
-  }
-  Concrete heads = c;
-  heads.current = 1;
-  Concrete tails = c;
-  tails.current = 0;
-  return CompiledEdge::coin(intern(tails), intern(heads));
 }
 
 Opinion SfAutomaton::opinion(AutomatonState state) const {
@@ -321,56 +248,6 @@ std::vector<WeightedState> SsfAutomaton::transition(
     }
   }
   return out;
-}
-
-// Same flush rule as transition(), with SelfStabilizingSourceFilter::update's
-// exact draw pattern: majority() consumes one next_bool() only on a tie, the
-// weak-opinion majority before the opinion majority.
-CompiledEdge SsfAutomaton::compile(AutomatonState state,
-                                   std::uint64_t /*round*/,
-                                   const SymbolCounts& obs) const {
-  NOISYPULL_CHECK(obs.size == 4, "SSF expects the {0,1}^2 alphabet");
-  const std::lock_guard<std::mutex> lock(intern_mutex_);
-  NOISYPULL_ASSERT(state < states_.size());
-  Concrete c = states_[state];
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    c.mem[s] += obs[s];
-    total += c.mem[s];
-  }
-  if (total < m_) return CompiledEdge::deterministic(intern(c));
-
-  const std::uint64_t src_ones = c.mem[3];
-  const std::uint64_t src_zeros = c.mem[2];
-  const std::uint64_t all_ones = c.mem[1] + c.mem[3];
-  const std::uint64_t all_zeros = c.mem[0] + c.mem[2];
-  c.mem.fill(0);
-  const bool weak_tie = src_ones == src_zeros;
-  const bool current_tie = all_ones == all_zeros;
-  const Opinion weak = src_ones > src_zeros ? 1 : 0;
-  const Opinion current = all_ones > all_zeros ? 1 : 0;
-  const auto flushed = [&](Opinion w, Opinion cur) {
-    Concrete next = c;
-    next.weak = w;
-    next.current = cur;
-    return intern(next);
-  };
-  if (!weak_tie && !current_tie) {
-    return CompiledEdge::deterministic(flushed(weak, current));
-  }
-  if (weak_tie && !current_tie) {
-    return CompiledEdge::coin(flushed(0, current), flushed(1, current));
-  }
-  if (!weak_tie) {  // current_tie only
-    return CompiledEdge::coin(flushed(weak, 0), flushed(weak, 1));
-  }
-  CompiledEdge e;
-  e.kind = CompiledEdge::Kind::CoinPair;  // b1 = weak coin, b2 = current coin
-  e.target[0] = flushed(0, 0);
-  e.target[1] = flushed(0, 1);
-  e.target[2] = flushed(1, 0);
-  e.target[3] = flushed(1, 1);
-  return e;
 }
 
 Opinion SsfAutomaton::opinion(AutomatonState state) const {

@@ -1,9 +1,8 @@
 // Finite per-agent automata for the protocols of the paper.
 //
 // core/automaton/automaton.hpp defines the AgentAutomaton interface; this
-// header provides the three families both the exact oracle
-// (theory/exact_chain) and the compiled engine fast path
-// (core/automaton/compiled_population.hpp) run on:
+// header provides the three families the exact oracle (theory/exact_chain)
+// and the lumped engine (sim/lumped_engine) run on:
 //
 //  * TableAutomaton — a small synthetic protocol family closed under
 //    fuzzing: each state displays a fixed symbol and transitions by
@@ -15,19 +14,15 @@
 //    role (source with a fixed preference, or non-source).  The concrete
 //    state (counter1, counter0, weak, current, boost_ones, boost_total) is
 //    interned on demand; protocol coin tosses (listening / sub-phase ties)
-//    become ½-½ probability splits in transition() and single next_bool()
-//    draws in compile() — exactly the draws SourceFilter::update makes.
+//    become ½-½ probability splits in transition().
 //
 //  * SsfAutomaton — the exact mirror of core/SelfStabilizingSourceFilter
 //    (stale_flush = 0) for one role.  Memory flush ties split the state up
-//    to four ways (weak and current tie-break coins are independent); the
-//    compiled edge consumes one next_bool() per realized tie, weak first.
+//    to four ways (weak and current tie-break coins are independent).
 //
 // AutomatonProtocol adapts any automaton population to the PullProtocol
 // interface so the Monte-Carlo engines can run the *same* dynamics the
-// oracle enumerates — the differential test for synthetic protocols.  (The
-// production-scale adapter with the flat SoA state and the table-driven
-// round kernel is CompiledPopulation, one header over.)
+// oracle enumerates — the differential test for synthetic protocols.
 //
 // The mirrors are intentionally independent re-implementations from the
 // protocol *specification* (the paper's Algorithms 1–2), not wrappers over
@@ -37,9 +32,10 @@
 
 // <mutex> is allowlisted here by tools/noisypull_lint.cpp's threading-header
 // rule: the interning tables of the SF/SSF mirrors are grown lazily from the
-// engines' block-parallel update phase (CompiledPopulation::update), so
+// engines' block-parallel update phase (AutomatonProtocol::update), so
 // lookup+insert must be atomic.  Ids depend on interleaving; observables
 // never do (see the AgentAutomaton thread-safety contract).
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -77,18 +73,6 @@ class TableAutomaton final : public AgentAutomaton {
   std::vector<WeightedState> transition(AutomatonState state,
                                         std::uint64_t round,
                                         const SymbolCounts& obs) const override;
-  // compile() stays the inherited inverse-CDF default: the interpreted
-  // reference for table automata is AutomatonProtocol::update, which draws
-  // one uniform unconditionally — a Deterministic/Coin edge here would
-  // consume differently and break compiled-vs-interpreted bit-identity.
-
-  // Tables are round-homogeneous: one signature for the whole run.
-  std::uint64_t update_signature(std::uint64_t /*round*/) const override {
-    return 0;
-  }
-  std::uint64_t display_signature(std::uint64_t /*round*/) const override {
-    return 0;
-  }
 
  private:
   std::size_t alphabet_;
@@ -107,17 +91,6 @@ class SfAutomaton final : public AgentAutomaton {
                                         std::uint64_t round,
                                         const SymbolCounts& obs) const override;
   Opinion opinion(AutomatonState state) const override;
-
-  // Production-consumption edge: coins only on realized ties, exactly as
-  // SourceFilter::finish_listening / finish_subphase draw them.
-  CompiledEdge compile(AutomatonState state, std::uint64_t round,
-                       const SymbolCounts& obs) const override;
-
-  // Phase alphabet of the update rule: {phase-0, phase-1 middle, listening
-  // finish, boosting middle, sub-phase end, terminated}; displays only
-  // distinguish {phase-0, phase-1, boosting}.
-  std::uint64_t update_signature(std::uint64_t round) const override;
-  std::uint64_t display_signature(std::uint64_t round) const override;
 
  private:
   struct Concrete {
@@ -162,20 +135,6 @@ class SsfAutomaton final : public AgentAutomaton {
                                         std::uint64_t round,
                                         const SymbolCounts& obs) const override;
   Opinion opinion(AutomatonState state) const override;
-
-  // Production-consumption edge: one next_bool() per realized flush tie,
-  // weak before current — the order SelfStabilizingSourceFilter::update
-  // calls majority().
-  CompiledEdge compile(AutomatonState state, std::uint64_t round,
-                       const SymbolCounts& obs) const override;
-
-  // SSF has no clock: one signature for displays and updates alike.
-  std::uint64_t update_signature(std::uint64_t /*round*/) const override {
-    return 0;
-  }
-  std::uint64_t display_signature(std::uint64_t /*round*/) const override {
-    return 0;
-  }
 
  private:
   struct Concrete {

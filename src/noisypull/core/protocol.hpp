@@ -26,35 +26,6 @@
 
 namespace noisypull {
 
-class CompiledPopulation;  // core/automaton/compiled_population.hpp
-
-// Handle the block-parallel engines use to run a protocol through the
-// compiled fast path (DESIGN.md §13).  A null population means "no compiled
-// representation — run the virtual path"; that is the default for every
-// protocol.  CompiledPopulation returns itself, and fault decorators
-// (fault/faulty_engine.hpp) pass their inner protocol's access through with
-// the fault fields filled in so the engine can route exactly the faulted
-// agents onto the per-agent interpreted fallback:
-//
-//   * agents at index >= forged_begin display through the virtual path (a
-//     Byzantine decorator forges what they show; their own state still
-//     updates through the fast path),
-//   * stalled_until (when non-null) is the per-agent stall horizon: agent i
-//     with i >= stall_first_eligible and round < stalled_until[i] must have
-//     its update delivered through the virtual path so the decorator can
-//     swallow it (and count it) — the engine still burns the agent's
-//     sampling draw either way,
-//   * force_virtual_updates routes EVERY update through the virtual path —
-//     set when a decorator rewrites observation counts (message drops), so
-//     per-(state, outcome-index) tables no longer describe what agents see.
-struct CompiledAccess {
-  CompiledPopulation* population = nullptr;
-  std::uint64_t forged_begin = ~static_cast<std::uint64_t>(0);
-  const std::uint64_t* stalled_until = nullptr;
-  std::uint64_t stall_first_eligible = 0;
-  bool force_virtual_updates = false;
-};
-
 class PullProtocol {
  public:
   virtual ~PullProtocol() = default;
@@ -90,11 +61,6 @@ class PullProtocol {
   // Number of rounds the protocol is designed to run, or 0 if it has no
   // intrinsic horizon (self-stabilizing and baseline protocols).
   virtual std::uint64_t planned_rounds() const { return 0; }
-
-  // Compiled fast-path handle (see CompiledAccess).  The default — no
-  // compiled representation — keeps every existing protocol on the virtual
-  // path; only CompiledPopulation and the fault decorators override this.
-  virtual CompiledAccess compiled_access() { return {}; }
 };
 
 }  // namespace noisypull

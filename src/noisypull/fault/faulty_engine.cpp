@@ -71,27 +71,6 @@ class FaultedProtocolView final : public PullProtocol {
     base_.update(agent, round, thinned, rng);
   }
 
-  // Passes the inner protocol's compiled handle through with the fault
-  // fields filled in, so the engine's fast path routes exactly the faulted
-  // agents onto this proxy's virtual display()/update() (core/protocol.hpp
-  // documents each field).  Called by the inner engine after
-  // bind_population/advance_stall_schedule, so the fault sets are current
-  // for the round and stalled_until_'s storage is stable for the step.
-  CompiledAccess compiled_access() override {
-    CompiledAccess access = base_.compiled_access();
-    if (access.population == nullptr) return access;
-    if (eng_.byz_count_ > 0) {
-      access.forged_begin = eng_.n_ - eng_.byz_count_;
-    }
-    if (eng_.plan_.stall.crash_rate > 0.0 ||
-        eng_.plan_.stall.blackout_fraction > 0.0) {
-      access.stalled_until = eng_.stalled_until_.data();
-      access.stall_first_eligible = eng_.plan_.first_eligible;
-    }
-    if (eng_.plan_.drop.p > 0.0) access.force_virtual_updates = true;
-    return access;
-  }
-
  private:
   FaultyEngine& eng_;
   PullProtocol& base_;

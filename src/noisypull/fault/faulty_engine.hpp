@@ -65,8 +65,6 @@ class FaultyEngine final : public Engine {
   bool sampler_cache() const noexcept override {
     return inner_.sampler_cache();
   }
-  void set_compiled(bool enabled) override { inner_.set_compiled(enabled); }
-  bool compiled() const noexcept override { return inner_.compiled(); }
 
   // The inner engine runs against the fault proxy, so its digest observes
   // the *decorated* (forged) displays — exactly what a replay must

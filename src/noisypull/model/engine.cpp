@@ -7,7 +7,6 @@
 
 #include "noisypull/common/check.hpp"
 #include "noisypull/common/thread_pool.hpp"
-#include "noisypull/core/automaton/compiled_population.hpp"
 #include "noisypull/rng/binomial.hpp"
 
 namespace noisypull {
@@ -59,41 +58,6 @@ std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
   }
   return c;
 }
-
-std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
-    PullProtocol& protocol, const CompiledAccess& access, std::uint64_t round) {
-  NOISYPULL_ASSERT(access.population != nullptr);
-  CompiledPopulation& pop = *access.population;
-  std::array<std::uint64_t, kMaxAlphabet> c{};
-  const std::uint64_t n = protocol.num_agents();
-  const std::size_t d = protocol.alphabet_size();
-  pop.begin_display_round(round);
-  absorb_round(round);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    // Forged agents (Byzantine decorators) display through the virtual path
-    // — the decorator, not the automaton state, decides what they show.
-    const Symbol s = i >= access.forged_begin ? protocol.display(i, round)
-                                              : pop.display_at(i, round);
-    NOISYPULL_ASSERT(s < d);
-    absorb_display(s);
-    ++c[s];
-  }
-  return c;
-}
-
-namespace {
-
-// True when the fault decorator must see agent i's update through the
-// virtual path this round: drops rewrite the observation counts for
-// everyone, stalls swallow (and count) the update for the stalled agent.
-inline bool needs_virtual_update(const CompiledAccess& access, std::uint64_t i,
-                                 std::uint64_t round) {
-  if (access.force_virtual_updates) return true;
-  return access.stalled_until != nullptr &&
-         i >= access.stall_first_eligible && round < access.stalled_until[i];
-}
-
-}  // namespace
 
 void ExactEngine::set_artificial_noise(std::optional<Matrix> p) {
   if (p) {
@@ -156,16 +120,7 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
                   "noise matrix alphabet does not match protocol");
   NOISYPULL_CHECK(h >= 1, "sample size h must be at least 1");
 
-  // Compiled fast path (DESIGN.md §13): only when the toggle is on AND the
-  // protocol stack exposes a CompiledPopulation.  Trajectory-invariant —
-  // the virtual and compiled branches below absorb the same displays and
-  // draw the same values from the same substreams.
-  CompiledAccess access{};
-  if (compiled()) access = protocol.compiled_access();
-
-  const auto c = access.population != nullptr
-                     ? display_histogram(protocol, access, round)
-                     : display_histogram(protocol, round);
+  const auto c = display_histogram(protocol, round);
 
   // One observation is distributed as: pick a displayed symbol σ with
   // probability c[σ]/n, then corrupt through the (possibly composed)
@@ -190,43 +145,6 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
   sampler_.reset(h, std::span<const double>(q.data(), d), sampler_cache(), n);
 
   const std::uint64_t round_key = rng.next();
-  if (access.population != nullptr &&
-      sampler_.mode() == ObservationSampler::Mode::InverseCdf &&
-      access.population->build_update_tables(round, sampler_)) {
-    // Table-driven update phase: one sample_index() + one packed-edge apply
-    // per agent, no virtual dispatch.  Faulted agents take the per-agent
-    // virtual fallback, which consumes the identical draws (sample() and
-    // sample_index() share one uniform and one stopping rule).
-    CompiledPopulation& pop = *access.population;
-    const bool faults_possible =
-        access.force_virtual_updates || access.stalled_until != nullptr;
-    for_each_block(
-        n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-          if (!faults_possible) {
-            // No fault decorator this round: the whole block takes the
-            // group-hoisted tight loop — same draws, same writes, without
-            // the per-agent group lookup and fault check.
-            pop.apply_block(begin, end, sampler_, brng);
-            return;
-          }
-          SymbolCounts obs(d);
-          for (std::uint64_t i = begin; i < end; ++i) {
-            if (needs_virtual_update(access, i, round)) {
-              obs.clear();
-              sampler_.sample(brng, obs);
-              protocol.update(i, round, obs, brng);
-            } else {
-              pop.apply(i, sampler_.sample_index(brng), brng);
-            }
-          }
-        });
-    return;
-  }
-  // Virtual path — also the compiled mode's whole-round fallback when the
-  // outcome space is not enumerable (Decomposition mode) or when this
-  // round's missing transition rows fail the build gate
-  // (core/automaton/compiled_population.hpp): per-agent
-  // CompiledPopulation::update mirrors the production draws exactly.
   for_each_block(
       n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
         SymbolCounts obs(d);
@@ -313,12 +231,7 @@ void HeterogeneousEngine::step(PullProtocol& protocol,
                   "per-agent noise alphabet does not match protocol");
   NOISYPULL_CHECK(h >= 1, "sample size h must be at least 1");
 
-  CompiledAccess access{};
-  if (compiled()) access = protocol.compiled_access();
-
-  const auto c = access.population != nullptr
-                     ? display_histogram(protocol, access, round)
-                     : display_histogram(protocol, round);
+  const auto c = display_histogram(protocol, round);
   if (!cache_valid_) rebuild_channel_cache();
 
   // One sampler per distinct channel per round; q_g ∝ cᵀ·channel_g.  Built
@@ -341,41 +254,6 @@ void HeterogeneousEngine::step(PullProtocol& protocol,
   }
 
   const std::uint64_t round_key = rng.next();
-  if (access.population != nullptr) {
-    // The outcome enumeration is a function of (h, d) only, so any one
-    // InverseCdf sampler can build this round's transition tables; agents
-    // whose channel group fell back to Decomposition (tiny groups under the
-    // amortization gate) take the per-agent virtual fallback instead.
-    const ObservationSampler* enumerator = nullptr;
-    for (const ObservationSampler& s : samplers_) {
-      if (s.mode() == ObservationSampler::Mode::InverseCdf) {
-        enumerator = &s;
-        break;
-      }
-    }
-    if (enumerator != nullptr &&
-        access.population->build_update_tables(round, *enumerator)) {
-      CompiledPopulation& pop = *access.population;
-      for_each_block(
-          n, round_key,
-          [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-            SymbolCounts obs(d);
-            for (std::uint64_t i = begin; i < end; ++i) {
-              const ObservationSampler& smp =
-                  samplers_[static_cast<std::size_t>(group_of_[i])];
-              if (smp.mode() != ObservationSampler::Mode::InverseCdf ||
-                  needs_virtual_update(access, i, round)) {
-                obs.clear();
-                smp.sample(brng, obs);
-                protocol.update(i, round, obs, brng);
-              } else {
-                pop.apply(i, smp.sample_index(brng), brng);
-              }
-            }
-          });
-      return;
-    }
-  }
   for_each_block(
       n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
         SymbolCounts obs(d);

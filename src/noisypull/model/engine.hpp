@@ -85,18 +85,6 @@ class Engine {
   virtual void set_sampler_cache(bool enabled) { sampler_cache_ = enabled; }
   virtual bool sampler_cache() const noexcept { return sampler_cache_; }
 
-  // Toggles the compiled fast path (DESIGN.md §13): when enabled AND the
-  // protocol exposes a CompiledPopulation (core/protocol.hpp,
-  // compiled_access()), AggregateEngine and HeterogeneousEngine replace the
-  // per-agent virtual display()/update() calls with table lookups over
-  // interned automaton state ids.  Trajectory-invariant by construction —
-  // same draws from the same substreams, identical replay digest — so like
-  // the sampler cache it is excluded from experiment cache keys
-  // (tests/test_compiled_path.cpp pins the bit-identity).  Off by default;
-  // engines without a compiled path accept and ignore the setting.
-  virtual void set_compiled(bool enabled) { compiled_ = enabled; }
-  virtual bool compiled() const noexcept { return compiled_; }
-
   // Replay auditor: chained FNV-1a digest over (round number, start-of-round
   // display vector) of every round stepped so far.  Identical configurations
   // and seeds must yield identical digests — the dynamic complement to the
@@ -128,16 +116,6 @@ class Engine {
   std::array<std::uint64_t, kMaxAlphabet> display_histogram(
       const PullProtocol& protocol, std::uint64_t round);
 
-  // Compiled-path variant: per-agent symbols come from the population's
-  // display memo table (one array lookup per agent) except for agents at
-  // index >= access.forged_begin, whose displays a fault decorator forges
-  // and which therefore go through the virtual path.  Digest absorption is
-  // identical to the virtual variant, byte for byte.  Requires
-  // access.population != nullptr.
-  std::array<std::uint64_t, kMaxAlphabet> display_histogram(
-      PullProtocol& protocol, const CompiledAccess& access,
-      std::uint64_t round);
-
   // Runs body(begin, end, block_rng) for every block [begin, end) of
   // [0, n), where block b's rng is Rng(round_key, b) — serially when lanes
   // == 1, on the pool otherwise.  The caller draws round_key from the run
@@ -152,7 +130,6 @@ class Engine {
   std::uint64_t digest_ = fnv::kOffsetBasis;
   unsigned lanes_ = 1;
   bool sampler_cache_ = true;
-  bool compiled_ = false;
   std::unique_ptr<ThreadPool> pool_;  // null when lanes_ == 1
 };
 
@@ -212,10 +189,14 @@ class SequentialEngine final : public Engine {
 // matrix (the paper assumes one common N; real sensor populations don't).
 // Observation i's law is q_i ∝ cᵀ·N_i, so the aggregate trick still applies
 // per receiver at O(|Σ|²) each.  The `noise` argument passed to step() is
-// only validated for alphabet compatibility — the per-agent matrices given
-// at construction are what corrupt observations.  The THM4-D style
-// robustness claim this enables: SF tuned to the worst agent's δ_max still
-// converges when most agents are much cleaner (bench tab_heterogeneous).
+// only validated for alphabet compatibility and is otherwise ignored — the
+// per-agent matrices given at construction are what corrupt observations.
+// A caller that varies the per-step matrix therefore has no effect here:
+// FaultyEngine noise bursts, which arrive through that argument, are
+// silently dropped (noisypull_cli rejects --burst-rate with this engine).
+// Per-agent channels enable the THM4-D style robustness claim: SF tuned to
+// the worst agent's δ_max still converges when most agents are much cleaner
+// (bench tab_heterogeneous).
 //
 // Agents sharing a bit-identical effective channel share one per-round
 // ObservationSampler, so the per-agent cost drops from O(|Σ|²) plus a

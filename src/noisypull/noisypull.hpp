@@ -21,7 +21,6 @@
 #include "noisypull/baselines/repeated_majority.hpp"
 #include "noisypull/baselines/voter.hpp"
 #include "noisypull/core/automaton/automaton.hpp"
-#include "noisypull/core/automaton/compiled_population.hpp"
 #include "noisypull/core/automaton/protocol_automata.hpp"
 #include "noisypull/core/kary.hpp"
 #include "noisypull/core/schedule.hpp"

@@ -229,38 +229,4 @@ void ObservationSampler::sample(Rng& rng, SymbolCounts& obs) const {
   NOISYPULL_ASSERT(found);
 }
 
-std::uint64_t ObservationSampler::sample_index_uncached(double target) const {
-  double acc = 0.0;
-  std::uint64_t index = 0;
-  std::uint64_t result = 0;
-  bool found = false;
-  enumerate([&](double pmf, std::span<const std::uint64_t> counts) {
-    acc += pmf;
-    const bool last = counts[d_ - 1] == h_;
-    if (acc > target || last) {
-      result = index;
-      found = true;
-      return false;
-    }
-    ++index;
-    return true;
-  });
-  NOISYPULL_ASSERT(found);
-  return result;
-}
-
-void ObservationSampler::for_each_outcome(const OutcomeVisitor& visit) const {
-  NOISYPULL_CHECK(mode_ == Mode::InverseCdf,
-                  "for_each_outcome() requires the inverse-CDF mode: the "
-                  "outcome space must be enumerable (see the reset() gate)");
-  SymbolCounts obs(d_);
-  std::uint64_t index = 0;
-  enumerate([&](double /*pmf*/, std::span<const std::uint64_t> counts) {
-    for (std::size_t s = 0; s < d_; ++s) obs.c[s] = counts[s];
-    visit(index, obs);
-    ++index;
-    return true;
-  });
-}
-
 }  // namespace noisypull

@@ -50,7 +50,6 @@
 #include <span>
 #include <vector>
 
-#include "noisypull/common/check.hpp"
 #include "noisypull/common/symbols.hpp"
 #include "noisypull/rng/rng.hpp"
 
@@ -92,39 +91,11 @@ class ObservationSampler {
   // Size of the enumerated outcome space.  InverseCdf mode only.
   std::uint64_t num_outcomes() const noexcept { return outcome_count_; }
 
-  // Draws one outcome *index* under the canonical enumeration, consuming the
-  // rng exactly like sample(): same uniform, same stopping rule, so
-  // sample_index(rng) == index-of(sample(rng)) draw for draw
-  // (tests/test_compiled_path.cpp pins this).  The compiled engine path
-  // (core/automaton/compiled_population.hpp) keys its memoized transition
-  // tables by this index and never materializes the count vector per agent.
-  // InverseCdf mode only — the decomposition has no enumerable index.
-  // Defined inline: this is the one call per agent of the compiled hot loop,
-  // and the cached branch is just a uniform plus a partial-sum search.
-  std::uint64_t sample_index(Rng& rng) const {
-    NOISYPULL_CHECK(mode_ == Mode::InverseCdf,
-                    "sample_index() requires the inverse-CDF mode: the "
-                    "outcome space must be enumerable (see the reset() gate)");
-    // Mirrors sample() draw for draw: one uniform, and the exact same
-    // stopping rule in both cache settings, so the index returned here names
-    // precisely the outcome sample() would have written.
-    const double target = rng.next_double() * total_mass_;
-    if (!cum_.empty()) return search(target);
-    return sample_index_uncached(target);
-  }
-
   // Crossover of the cached search: up to this many outcomes it runs the
   // branchless linear count, above it the guide table.  Both return the
   // identical index, so the threshold is wall-clock-only and can never
   // affect a trajectory.
   static constexpr std::size_t kLinearScanOutcomes = 12;
-
-  // Visits every outcome of the canonical enumeration once, in index order:
-  // visit(index, counts).  Used to build per-round transition tables (one
-  // pass, amortized over all agents).  InverseCdf mode only.
-  using OutcomeVisitor =
-      std::function<void(std::uint64_t, const SymbolCounts&)>;
-  void for_each_outcome(const OutcomeVisitor& visit) const;
 
   // Called by split() once per outcome that received a positive share:
   // (share, outcome count vector of length d).
@@ -174,10 +145,6 @@ class ObservationSampler {
     while (i + 1 < m && cum_[i] <= target) ++i;
     return i;
   }
-
-  // Cache-off half of sample_index(): the linear walk over the identical
-  // partial sums, stopping at the first acc > target (or the last outcome).
-  std::uint64_t sample_index_uncached(double target) const;
 
   double outcome_pmf(std::span<const std::uint64_t> counts) const;
 

@@ -35,11 +35,6 @@ RunResult run_impl(Protocol& protocol, EngineT& engine,
       engine.set_threads(cfg.engine_threads);
     }
   }
-  if (cfg.compiled) {
-    if constexpr (requires { engine.set_compiled(true); }) {
-      engine.set_compiled(true);
-    }
-  }
 
   const std::uint64_t n = protocol.num_agents();
   RunResult result;

@@ -43,13 +43,6 @@ struct RunConfig {
   // without the knob (PushEngine, SequentialEngine).
   unsigned engine_threads = 0;
 
-  // Enables the compiled fast path (Engine::set_compiled, DESIGN.md §13) —
-  // effective only when the protocol exposes a CompiledPopulation.
-  // Trajectory-invariant like engine_threads, and excluded from the
-  // experiment cache key for the same reason.  Ignored by engines without
-  // the knob.
-  bool compiled = false;
-
   // Polled once per round; when set, the run unwinds with
   // OperationCancelled.  Used by the scheduler's --rep-timeout watchdog.
   // Trajectory-invariant while unset: a run that completes was never

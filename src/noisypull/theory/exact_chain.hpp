@@ -67,11 +67,9 @@
 namespace noisypull {
 
 // AutomatonState / WeightedState / AgentAutomaton — the per-agent state
-// machine vocabulary this oracle is built on — now live in
-// core/automaton/automaton.hpp (hoisted so the engines' compiled fast path
-// can share the interned automata; DESIGN.md §13).  The chain consumes only
-// the exact-law half: transition() as the per-(state, observation)
-// distribution, never compile().
+// machine vocabulary this oracle is built on — live in
+// core/automaton/automaton.hpp, shared with the lumped engine.  The chain
+// consumes transition() as the exact per-(state, observation) distribution.
 
 // Deterministic display forgery for a whole class (FaultyEngine's Byzantine
 // displays: AlwaysWrong/MimicSource are Constant, FlipFlop is EvenOdd).

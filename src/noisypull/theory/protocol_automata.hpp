@@ -1,6 +1,5 @@
-// Thin re-export: the automaton families moved to core/automaton so the
-// production engines can consume them through the compiled fast path
-// (DESIGN.md §13) without a theory→model edge in the layer DAG.  This
+// Thin re-export: the automaton families live in core/automaton, next to
+// the protocols they mirror (AutomatonProtocol is a PullProtocol).  This
 // header keeps every oracle-side include site (theory/exact_chain users,
 // the fuzz campaign, the golden-digest tests) compiling unchanged; theory/
 // retains the exact-law half of the machinery — ChainClass and the chain

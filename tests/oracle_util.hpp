@@ -220,8 +220,6 @@ class OwnedFaultyAggregate final : public Engine {
   void set_artificial_noise(std::optional<Matrix> p) override {
     faulty_.set_artificial_noise(std::move(p));
   }
-  void set_compiled(bool enabled) override { faulty_.set_compiled(enabled); }
-  bool compiled() const noexcept override { return faulty_.compiled(); }
 
  private:
   AggregateEngine inner_;

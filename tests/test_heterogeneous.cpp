@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "noisypull/analysis/stats.hpp"
 #include "noisypull/core/source_filter.hpp"
+#include "noisypull/fault/faulty_engine.hpp"
 #include "noisypull/model/engine.hpp"
 #include "noisypull/sim/runner.hpp"
 
@@ -144,6 +146,60 @@ TEST(HeterogeneousEngine, SfTunedToWorstAgentConverges) {
       run(sf, engine, NoiseMatrix::uniform(2, engine.worst_upper_bound()),
           p.correct_opinion(), RunConfig{.h = p.n}, rng);
   EXPECT_TRUE(result.all_correct_at_end);
+}
+
+// Digest plus final opinions of one SF run: the whole observable trajectory
+// of a bit-identity comparison.
+struct Trajectory {
+  std::uint64_t digest = 0;
+  std::vector<Opinion> opinions;
+
+  bool operator==(const Trajectory&) const = default;
+};
+
+Trajectory run_sf(Engine& engine, const PopulationConfig& p, std::uint64_t h,
+                  double delta, std::uint64_t seed) {
+  SourceFilter sf(p, Holdings{h}, Delta{delta}, C1{2.0});
+  Rng rng(seed);
+  run(sf, engine, NoiseMatrix::uniform(2, delta), p.correct_opinion(),
+      RunConfig{.h = h}, rng);
+  Trajectory out{.digest = engine.replay_digest(), .opinions = {}};
+  for (std::uint64_t i = 0; i < p.n; ++i) out.opinions.push_back(sf.opinion(i));
+  return out;
+}
+
+TEST(HeterogeneousEngine, OneSharedMatrixIsBitIdenticalToAggregate) {
+  // n copies of one matrix form a single channel group: the same q, the same
+  // per-round sampler and the same per-agent draws as AggregateEngine, so
+  // the trajectories must agree bit for bit — bare and under a drop/crash
+  // FaultPlan, at every lane count.  h = 16 puts the shared sampler in
+  // inverse-CDF mode; h = n = 300 (301 outcomes over 300 draws) in the
+  // decomposition fallback.
+  const auto p = pop(300, 2, 1);
+  const double delta = 0.1;
+  FaultPlan faults = FaultPlan::for_binary(p.correct_opinion());
+  faults.seed = 7;
+  faults.first_eligible = p.num_sources();
+  faults.drop.p = 0.05;
+  faults.stall.crash_rate = 0.01;
+
+  for (const std::uint64_t h : {std::uint64_t{16}, p.n}) {
+    for (const unsigned lanes : {1u, 4u}) {
+      for (const bool faulted : {false, true}) {
+        const auto trajectory = [&](Engine& inner) {
+          inner.set_threads(lanes);
+          if (!faulted) return run_sf(inner, p, h, delta, 11);
+          FaultyEngine engine(inner, faults);
+          return run_sf(engine, p, h, delta, 11);
+        };
+        AggregateEngine aggregate;
+        HeterogeneousEngine heterogeneous(
+            std::vector<NoiseMatrix>(p.n, NoiseMatrix::uniform(2, delta)));
+        EXPECT_EQ(trajectory(heterogeneous), trajectory(aggregate))
+            << "h=" << h << " lanes=" << lanes << " faulted=" << faulted;
+      }
+    }
+  }
 }
 
 }  // namespace

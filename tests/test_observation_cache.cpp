@@ -125,6 +125,8 @@ TEST(ObservationSampler, CacheToggleIsDrawForDrawIdentical) {
   };
   const std::vector<Input> inputs = {
       {9, {0.35, 0.05, 0.4, 0.2}},
+      {6, {0.3, 0.7}},
+      {6, {0.2, 0.5, 0.3}},
       {1, {0.3, 0.7}},
       {4, {0.3, 0.7}},
       {11, {0.3, 0.7}},

@@ -13,17 +13,6 @@
 //
 //   NOISYPULL_ORACLE_MAX_TUPLES=<k>   run only the first k tuples (CI smoke)
 //   NOISYPULL_ORACLE_TUPLE=<i>        run exactly tuple i (failure repro)
-//   NOISYPULL_ORACLE_COMPILED=1       replicates run CompiledPopulation
-//                                     mirrors on the compiled engine fast
-//                                     path (DESIGN.md §13) instead of the
-//                                     production protocols — the oracle side
-//                                     is unchanged, so this differentially
-//                                     tests the compiled kernel against the
-//                                     exact chain.  (SequentialEngine has no
-//                                     compiled path; the flag is a no-op on
-//                                     sequential tuples, which then still
-//                                     pin the CompiledPopulation's virtual
-//                                     fallback.)
 //
 // Scope note: drop faults are deliberately absent.  Their thinning
 // randomness comes from a fixed per-(round, agent) substream of the plan
@@ -134,7 +123,6 @@ struct TupleOutcome {
 };
 
 TupleOutcome run_tuple(std::uint64_t index) {
-  const bool compiled_mode = std::getenv("NOISYPULL_ORACLE_COMPILED") != nullptr;
   Rng rng(kFuzzSeed, index);
   const auto engine_kind = static_cast<EngineKind>(index % 4);
   ProtoKind proto_kind;
@@ -275,21 +263,6 @@ TupleOutcome run_tuple(std::uint64_t index) {
     make_protocol = [groups] {
       return std::make_unique<AutomatonProtocol>(groups);
     };
-    if (compiled_mode) {
-      // Aliasing shared_ptrs (no control block): `automata` outlives every
-      // replicate protocol — both live in this stack frame.
-      std::vector<CompiledGroup> cgroups;
-      for (const AutomatonGroup& g : groups) {
-        cgroups.push_back({.count = g.count,
-                           .automaton = std::shared_ptr<const AgentAutomaton>(
-                               std::shared_ptr<void>(), g.automaton),
-                           .initial = g.initial});
-      }
-      make_protocol = [cgroups] {
-        return std::make_unique<CompiledPopulation>(cgroups,
-                                                    /*planned_rounds=*/0);
-      };
-    }
   } else if (proto_kind == ProtoKind::Sf) {
     const PopulationConfig pop{.n = n, .s1 = 1, .s0 = rng.next_below(2)};
     automata.push_back(std::make_unique<SfAutomaton>(sched, true, 1));
@@ -327,9 +300,6 @@ TupleOutcome run_tuple(std::uint64_t index) {
     make_protocol = [pop, sched] {
       return std::make_unique<SourceFilter>(pop, sched);
     };
-    if (compiled_mode) {
-      make_protocol = [pop, sched] { return make_compiled_sf(pop, sched); };
-    }
   } else {  // Ssf
     const PopulationConfig pop{.n = n, .s1 = 1, .s0 = 0};
     automata.push_back(std::make_unique<SsfAutomaton>(m, true, 1));
@@ -369,9 +339,6 @@ TupleOutcome run_tuple(std::uint64_t index) {
           SelfStabilizingSourceFilter::with_memory_budget(pop, Holdings{h},
                                                           m));
     };
-    if (compiled_mode) {
-      make_protocol = [pop, m] { return make_compiled_ssf(pop, m); };
-    }
   }
 
   // --- engine factory + display view --------------------------------------
@@ -404,13 +371,6 @@ TupleOutcome run_tuple(std::uint64_t index) {
       };
       view = oracle_test::faulted_view(plan, n);
       break;
-  }
-  if (compiled_mode) {
-    make_engine = [inner = std::move(make_engine)] {
-      auto engine = inner();
-      engine->set_compiled(true);
-      return engine;
-    };
   }
 
   // --- oracle + comparison -------------------------------------------------

@@ -53,9 +53,18 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, std::size_t d = 2) {
       return std::make_unique<AggregateEngine>();
     case EngineKind::Sequential:
       return std::make_unique<SequentialEngine>();
-    case EngineKind::Heterogeneous:
-      return std::make_unique<HeterogeneousEngine>(std::vector<NoiseMatrix>(
-          kN, NoiseMatrix::uniform(d, kDelta)));
+    case EngineKind::Heterogeneous: {
+      // Two channel groups of 44 + 4 agents.  For the binary runs (h = 16)
+      // the big group's 17 outcomes amortize over its 44 draws (inverse
+      // CDF) and the small group's do not (decomposition), so blocks mix
+      // both sampler modes.
+      std::vector<NoiseMatrix> per_agent;
+      for (std::uint64_t i = 0; i < kN; ++i) {
+        per_agent.push_back(
+            NoiseMatrix::uniform(d, i < kN - 4 ? kDelta : 0.1));
+      }
+      return std::make_unique<HeterogeneousEngine>(std::move(per_agent));
+    }
   }
   return nullptr;
 }

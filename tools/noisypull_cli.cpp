@@ -42,7 +42,6 @@ struct CliOptions {
   std::string engine = "aggregate";   // aggregate | exact | sequential
                                       // | heterogeneous
   std::uint64_t threads = 1;          // block-parallel lanes inside the engine
-  bool compiled = false;              // compiled automaton fast path (sf/ssf)
   std::string order = "random";       // sequential activation order
   bool trajectory = false;            // print per-round correct counts
   bool verify_replay = false;         // run twice, compare replay digests
@@ -89,12 +88,6 @@ struct CliOptions {
                   lumped-to-lumped)
   --threads T     block-parallel lanes inside the engine (default 1);
                   results are bit-identical for every T
-  --compiled      run the protocol as a CompiledPopulation on the engines'
-                  table-driven fast path (sf/ssf only; bit-identical to the
-                  interpreted run; 2-3x faster for sf, but SLOWER for ssf,
-                  whose fresh-state churn defeats the table memoization —
-                  see DESIGN.md s13; incompatible with --corruption and
-                  --stale-flush, which have no compiled mirror)
   --order O       random | ascending | descending      (sequential engine)
   --trajectory    print per-round correct counts of repetition 0
   --verify-replay run the whole configuration twice with identical seeds and
@@ -110,7 +103,8 @@ struct CliOptions {
   --crash-rate P    per-agent per-round crash probability
   --stall-min K     min stall duration in rounds        (default 2)
   --stall-max K     max stall duration in rounds        (default 10)
-  --burst-rate P    per-round burst-start probability   (default 0)
+  --burst-rate P    per-round burst-start probability   (default 0;
+                    not with --engine heterogeneous)
   --burst-delta D   noise level during a burst; 0 = 1/|alphabet|
   --burst-rounds K  burst duration in rounds            (default 2)
   --fault-seed S    fault-schedule seed; 0 = --seed     (default 0)
@@ -183,7 +177,6 @@ CliOptions parse_args(int argc, char** argv) {
     else if (a == "--corruption") opt.corruption = need_value(i++);
     else if (a == "--engine") opt.engine = need_value(i++);
     else if (a == "--threads") opt.threads = parse_u64(need_value(i++));
-    else if (a == "--compiled") opt.compiled = true;
     else if (a == "--order") opt.order = need_value(i++);
     else if (a == "--trajectory") opt.trajectory = true;
     else if (a == "--verify-replay") opt.verify_replay = true;
@@ -314,15 +307,8 @@ PullSetup make_pull_setup(const CliOptions& opt, std::uint64_t h, Rng& init) {
 
   const Opinion correct = pop.correct_opinion();
   if (opt.protocol == "sf") {
-    if (opt.compiled) {
-      const SfSchedule schedule =
-          make_sf_schedule(pop, Holdings{h}, Delta{opt.delta}, C1{opt.c1});
-      return {make_compiled_sf(pop, schedule),
-              NoiseMatrix::uniform(2, opt.delta), correct};
-    }
     return {std::make_unique<SourceFilter>(pop, Holdings{h}, Delta{opt.delta},
                                            C1{opt.c1}),
-
             NoiseMatrix::uniform(2, opt.delta), correct};
   }
   // Budget for protocols with no intrinsic horizon: 20 memory cycles for
@@ -330,15 +316,6 @@ PullSetup make_pull_setup(const CliOptions& opt, std::uint64_t h, Rng& init) {
   const std::uint64_t baseline_budget =
       std::max<std::uint64_t>(100, 50 * ((pop.n + h - 1) / h));
   if (opt.protocol == "ssf") {
-    if (opt.compiled) {
-      // Same Eq. 30 budget and 4·⌈m/h⌉ + 1 convergence deadline the
-      // production SelfStabilizingSourceFilter derives for itself.
-      const std::uint64_t m =
-          ssf_memory_budget(pop, Delta{opt.delta}, C1{opt.c1});
-      const std::uint64_t deadline = 4 * ((m + h - 1) / h) + 1;
-      return {make_compiled_ssf(pop, MemoryBudget{m}),
-              NoiseMatrix::uniform(4, opt.delta), correct, deadline};
-    }
     auto ssf = std::make_unique<SelfStabilizingSourceFilter>(pop, Holdings{h},
                                                              Delta{opt.delta},
                                                              C1{opt.c1});
@@ -487,6 +464,16 @@ int run_lumped_reps(const CliOptions& opt, std::uint64_t h, PullOutcome& out) {
 
 int run_pull_reps(const CliOptions& opt, std::uint64_t h, PullOutcome& out) {
   if (opt.engine == "lumped") return run_lumped_reps(opt, h, out);
+  if (opt.engine == "heterogeneous" && opt.burst_rate > 0.0) {
+    // Bursts swap the channel passed to step(); HeterogeneousEngine ignores
+    // that argument in favour of its per-agent matrices, so the burst would
+    // be counted but never applied.
+    std::fprintf(stderr,
+                 "error: --engine heterogeneous does not compose with "
+                 "--burst-rate (its per-agent channels ignore the burst's "
+                 "noise matrix)\n");
+    return 2;
+  }
   std::uint64_t num_sources = opt.s1 + opt.s0;
   if (opt.protocol == "kary" && !opt.kary_sources.empty()) {
     num_sources = 0;
@@ -526,8 +513,7 @@ int run_pull_reps(const CliOptions& opt, std::uint64_t h, PullOutcome& out) {
             RunConfig{.h = h,
                       .max_rounds = budget,
                       .stability_window = opt.stability,
-                      .record_trajectory = opt.trajectory && rep == 0,
-                      .compiled = opt.compiled},
+                      .record_trajectory = opt.trajectory && rep == 0},
             rng);
     out.successes += r.all_correct_at_end ? 1 : 0;
     out.digests.push_back(eng->replay_digest());
@@ -590,35 +576,6 @@ int run_verify_replay(const CliOptions& opt, std::uint64_t h) {
 int main(int argc, char** argv) {
   const CliOptions opt = parse_args(argc, argv);
   const std::uint64_t h = opt.h == 0 ? opt.n : opt.h;
-
-  if (opt.compiled) {
-    // The compiled fast path runs the interned SF/SSF mirrors
-    // (core/automaton); the other families and the state-mutation knobs
-    // have no compiled counterpart.
-    if (opt.protocol != "sf" && opt.protocol != "ssf") {
-      std::fprintf(stderr,
-                   "error: --compiled supports --protocol sf | ssf only\n");
-      return 2;
-    }
-    if (opt.corruption != "none") {
-      std::fprintf(stderr,
-                   "error: --compiled does not compose with --corruption "
-                   "(corrupted initial states have no compiled mirror)\n");
-      return 2;
-    }
-    if (opt.stale_flush > 0) {
-      std::fprintf(stderr,
-                   "error: --compiled does not compose with --stale-flush "
-                   "(the compiled SSF mirror runs stale_flush = 0)\n");
-      return 2;
-    }
-    if (opt.engine == "lumped") {
-      std::fprintf(stderr,
-                   "error: --compiled is an agent-engine fast path; "
-                   "--engine lumped already runs O(#states) per round\n");
-      return 2;
-    }
-  }
 
   std::printf("protocol=%s n=%llu h=%llu delta=%.3f seed=%llu reps=%llu\n\n",
               opt.protocol.c_str(), static_cast<unsigned long long>(opt.n),

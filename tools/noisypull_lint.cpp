@@ -576,7 +576,6 @@ void rule_threading_header(const FileContext& ctx,
       "bench/perf_round_kernel.cpp",
       "bench/perf_sweep_scheduler.cpp",
       "bench/perf_lumped_engine.cpp",
-      "bench/perf_compiled_path.cpp",
   };
   for (const char* suffix : kAllowedSuffixes) {
     if (ctx.path.ends_with(suffix)) return;
@@ -753,8 +752,8 @@ struct LayerDir {
 // sim sits above theory because the lumped engine (sim/lumped_engine.hpp)
 // drives the theory/ automaton mirrors; analysis sits above sim because the
 // scheduler dispatches lumped cells.  theory itself only reaches layer 0:
-// it consumes the hoisted automaton vocabulary in core/automaton (which the
-// compiled engine fast path shares) without ever touching model/.  Nested
+// it consumes the automaton vocabulary in core/automaton without ever
+// touching model/.  Nested
 // module directories are declared with their full path and resolved by
 // longest prefix, so "core/automaton" gets its own row instead of silently
 // inheriting "core".
