@@ -11,9 +11,9 @@
 // (analysis/scheduler.hpp): `--threads` drains cells concurrently,
 // `--ci-halfwidth`/`--max-reps` opt into adaptive early stopping, and
 // `--cache-dir` reuses previously computed repetitions.  Cell seeds keep
-// the legacy run_repetitions derivations (13000/13100/13200 + s,
-// 14000/14100 + policy, 15000/15100), so every trajectory — and the printed
-// tables — are bit-identical to the pre-scheduler bench.
+// the pre-scheduler derivations (13000/13100/13200 + s, 14000/14100 +
+// policy, 15000/15100), so every trajectory — and the printed tables — are
+// bit-identical to the pre-scheduler bench.
 #include "bench_common.hpp"
 
 namespace {
@@ -171,7 +171,6 @@ int main(int argc, char** argv) {
       .seed = 15000,
       .protocol_digest =
           sf_digest(red_pop, Holdings{red_pop.n}, Delta{red.delta_prime}),
-      .use_aggregate_engine = true,
       .artificial_noise = red.artificial});
   // Without the reduction, tune SF to the tightest upper bound and run on
   // the raw (asymmetric) channel directly.

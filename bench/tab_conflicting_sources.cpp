@@ -8,7 +8,7 @@
 // (analysis/scheduler.hpp): `--threads` drains cells concurrently,
 // `--ci-halfwidth`/`--max-reps` opt into adaptive early stopping, and
 // `--cache-dir` reuses previously computed repetitions.  Cell seeds keep the
-// legacy run_repetitions derivation (SF 10000 + n + s1·7 + s0, SSF
+// pre-scheduler derivation (SF 10000 + n + s1·7 + s0, SSF
 // 11000 + n + s1·7 + s0), so trajectories are bit-identical to the
 // pre-scheduler bench.
 #include "bench_common.hpp"

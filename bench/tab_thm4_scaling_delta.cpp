@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
         .cfg = RunConfig{.h = n},
         .seed = 4000,
         .protocol_digest = sf_digest(pop, Holdings{n}, Delta{red.delta_prime}),
-        .use_aggregate_engine = true,
         .artificial_noise = red.artificial});
   }
   const auto stats = run_experiment(cells, scheduler_options(args, 8));

@@ -21,6 +21,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "noisypull/noisypull.hpp"
 
@@ -28,35 +29,22 @@ namespace {
 
 using namespace noisypull;
 
-// Rounds until the whole group pulls toward the nest; empty when no
-// repetition ever aligned.
-std::optional<double> sf_alignment_rounds(std::uint64_t n, double delta,
-                                          std::uint64_t seed) {
-  const PopulationConfig pop{.n = n, .s1 = 1, .s0 = 0};
-  const auto noise = NoiseMatrix::uniform(2, delta);
-  const auto results = run_repetitions(
-      [&](Rng&) -> std::unique_ptr<PullProtocol> {
-        return std::make_unique<SourceFilter>(pop, Holdings{n}, Delta{delta},
-                                              C1{2.0});
-      },
-      noise, pop.correct_opinion(), RunConfig{.h = n},
-      RepeatOptions{.repetitions = 8, .seed = seed});
-  return mean_convergence_round(results);
-}
-
-std::optional<double> voter_alignment_rounds(std::uint64_t n, double delta,
-                                             std::uint64_t seed,
-                                             std::uint64_t budget) {
-  const PopulationConfig pop{.n = n, .s1 = 1, .s0 = 0};
-  const auto noise = NoiseMatrix::uniform(2, delta);
-  const auto results = run_repetitions(
-      [&](Rng& init) -> std::unique_ptr<PullProtocol> {
-        return std::make_unique<VoterProtocol>(pop, init);
-      },
-      noise, pop.correct_opinion(),
-      RunConfig{.h = n, .max_rounds = budget},
-      RepeatOptions{.repetitions = 8, .seed = seed});
-  return mean_convergence_round(results);
+// Mean round from which the whole group pulls toward the nest, over 8
+// seeded repetitions; empty when no repetition ever aligned.  A zero
+// budget runs the protocol's planned horizon.
+std::optional<double> mean_alignment_rounds(const PopulationConfig& pop,
+                                            ProtocolFactory make_protocol,
+                                            double delta, std::uint64_t seed,
+                                            std::uint64_t budget) {
+  const ExperimentCell cell{.make_protocol = std::move(make_protocol),
+                            .noise = NoiseMatrix::uniform(2, delta),
+                            .correct = pop.correct_opinion(),
+                            .cfg = RunConfig{.h = pop.n, .max_rounds = budget},
+                            .seed = seed};
+  return run_experiment({cell},
+                        SchedulerOptions{.stop = StopRule{.max_reps = 8}})
+      .front()
+      .mean_convergence_round;
 }
 
 }  // namespace
@@ -73,11 +61,21 @@ int main() {
   Table table({"ants", "SF rounds to alignment", "voter rounds (budgeted)",
                "voter aligned?"});
   for (std::uint64_t n : {50ULL, 100ULL, 200ULL, 400ULL, 800ULL}) {
-    const std::optional<double> sf_rounds =
-        sf_alignment_rounds(n, delta, 11 + n);
+    const PopulationConfig pop{.n = n, .s1 = 1, .s0 = 0};
+    const std::optional<double> sf_rounds = mean_alignment_rounds(
+        pop,
+        [pop, delta](Rng&) -> std::unique_ptr<PullProtocol> {
+          return std::make_unique<SourceFilter>(pop, Holdings{pop.n},
+                                                Delta{delta}, C1{2.0});
+        },
+        delta, 11 + n, /*budget=*/0);
     // Give the voter dynamics a generous budget of 20·n rounds.
-    const std::optional<double> voter_rounds =
-        voter_alignment_rounds(n, delta, 13 + n, 20 * n);
+    const std::optional<double> voter_rounds = mean_alignment_rounds(
+        pop,
+        [pop](Rng& init) -> std::unique_ptr<PullProtocol> {
+          return std::make_unique<VoterProtocol>(pop, init);
+        },
+        delta, 13 + n, 20 * n);
     table.cell(n)
         .cell(sf_rounds, 1)
         .cell(voter_rounds, 1)  // "never" when no repetition aligned

@@ -16,8 +16,8 @@
 // The scheduler's shared queue state is guarded by one mutex and a condition
 // variable (workers park when every remaining repetition is already in
 // flight).  Allowlisted by tools/noisypull_lint.cpp's threading-header rule:
-// like sim/repeat.cpp, this file *drives* the shared ThreadPool rather than
-// opening a new parallelism seam.  The additional thread is the watchdog,
+// this file *drives* the shared ThreadPool rather than opening a new
+// parallelism seam.  The additional thread is the watchdog,
 // which only reads steady_clock and flips CancelTokens — it never touches
 // outcomes, so it cannot influence statistics.
 #include <atomic>
@@ -114,8 +114,8 @@ StopRule normalized(StopRule rule) {
 }
 
 bool outcome_success(const RepOutcome& o, bool require_stability) noexcept {
-  // Mirrors success_rate() in sim/repeat.cpp: stability on the wrong
-  // opinion is failure, not success.
+  // Stability on the wrong opinion is failure, not success: a RepOutcome
+  // can be built by hand (tests, cache records), so require both.
   return require_stability ? (o.stable && o.all_correct_at_end)
                            : o.all_correct_at_end;
 }
@@ -463,12 +463,11 @@ std::uint64_t cell_cache_key(const ExperimentCell& cell) {
   }
   // RunConfig: engine_threads is trajectory-invariant and deliberately
   // excluded (the header comment's invalidation contract).
-  // Engine kind: 0 = exact, 1 = aggregate, 2 = lumped.  The lumped engine
-  // is distribution-equivalent but not trajectory-identical to the agent
-  // engines, so it must never share cache entries with them; the first two
-  // values keep every pre-lumped key bit-identical.
-  const std::uint64_t engine_kind =
-      cell.make_lumped ? 2 : (cell.use_aggregate_engine ? 1 : 0);
+  // Engine kind: 1 = aggregate, 2 = lumped (0 was the retired exact-engine
+  // cell kind).  The lumped engine is distribution-equivalent but not
+  // trajectory-identical to AggregateEngine, so it must never share cache
+  // entries with it; the values keep every existing key bit-identical.
+  const std::uint64_t engine_kind = cell.make_lumped ? 2 : 1;
   key.u64(cell.cfg.h)
       .u64(cell.cfg.max_rounds)
       .u64(cell.cfg.stability_window)
@@ -563,8 +562,8 @@ std::vector<CellStats> run_experiment(const std::vector<ExperimentCell>& cells,
   const StopRule rule = normalized(opts.stop);
   for (const ExperimentCell& cell : cells) {
     NOISYPULL_CHECK(!cell.cfg.record_trajectory,
-                    "the scheduler does not record trajectories; use "
-                    "run_repetitions for trajectory experiments");
+                    "the scheduler does not record trajectories; call run() "
+                    "directly for trajectory experiments");
     if (cell.steady_state) {
       NOISYPULL_CHECK(cell.steady_state->measure >= 1,
                       "steady-state cells need at least one measured round");
@@ -787,13 +786,13 @@ std::vector<CellStats> run_experiment(const std::vector<ExperimentCell>& cells,
 
   const auto worker = [&](std::uint64_t lane) {
     // One engine per worker, rebuilt only when the worker switches cells:
-    // repetitions of one cell reuse the engine's scratch buffers exactly as
-    // the run_repetitions workers do.  Workers start spread across the grid
-    // (lane-seeded cursor) and stay on their cell until it has no issuable
-    // work — depth-first per worker completes decision prefixes early, and
-    // the cursor only moves (work stealing) when the current cell is
-    // drained.  None of this affects results: statistics are a function of
-    // outcome prefixes, not of who computed them.
+    // repetitions of one cell reuse the engine's scratch buffers.  Workers
+    // start spread across the grid (lane-seeded cursor) and stay on their
+    // cell until it has no issuable work — depth-first per worker completes
+    // decision prefixes early, and the cursor only moves (work stealing)
+    // when the current cell is drained.  None of this affects results:
+    // statistics are a function of outcome prefixes, not of who computed
+    // them.
     std::unique_ptr<Engine> engine;
     std::size_t engine_cell = std::numeric_limits<std::size_t>::max();
     std::size_t cursor = static_cast<std::size_t>(lane) % states.size();
@@ -886,11 +885,7 @@ std::vector<CellStats> run_experiment(const std::vector<ExperimentCell>& cells,
               to_outcome(run_lumped(*setup.engine, cell.correct, cfg, run_rng));
         } else {
           if (engine_cell != cell_index || !engine) {
-            if (cell.use_aggregate_engine) {
-              engine = std::make_unique<AggregateEngine>();
-            } else {
-              engine = std::make_unique<ExactEngine>();
-            }
+            engine = std::make_unique<AggregateEngine>();
             if (cell.artificial_noise) {
               engine->set_artificial_noise(*cell.artificial_noise);
             }

@@ -1,20 +1,19 @@
 // Experiment-level scheduler: one global (cell × repetition) work queue.
 //
 // Every theorem table in bench/ estimates success probabilities over a
-// parameter grid.  Before this module, each grid cell called
-// run_repetitions() with a fixed repetition count and synchronized before
-// the next cell started, so a table's wall-clock was the sum of per-cell
-// barriers — and easy cells burned exactly as many repetitions as hard
-// ones.  The scheduler flattens the whole table into one queue of
+// parameter grid.  Running each grid cell's fixed repetition count to
+// completion before starting the next makes a table's wall-clock the sum of
+// per-cell barriers — and easy cells burn exactly as many repetitions as
+// hard ones.  The scheduler flattens the whole table into one queue of
 // (cell, repetition) work items drained by a fixed worker pool
 // (common/thread_pool.hpp), and optionally stops issuing repetitions for a
 // cell once its success-rate confidence interval is tight enough.
 //
 // Determinism contract (tests/test_scheduler.cpp, tests/test_chaos.cpp):
-//   * Repetition r of a cell runs on the substreams Rng(seed, 2r) /
-//     Rng(seed, 2r+1) — the exact derivation of run_repetitions() — so each
-//     repetition's trajectory is a function of (cell, r) alone, never of
-//     which worker ran it or when.
+//   * Repetition r of a cell builds its protocol from the substream
+//     Rng(seed, 2r) and runs it on Rng(seed, 2r+1), so each repetition's
+//     trajectory is a function of (cell, r) alone, never of which worker
+//     ran it or when.
 //   * The early-stopping decision is evaluated on completed-repetition
 //     *prefixes in repetition-index order*: the rule stops a cell at the
 //     smallest prefix length m ∈ [min_reps, max_reps] whose Wilson interval
@@ -65,7 +64,7 @@
 #include "noisypull/fault/fault_plan.hpp"
 #include "noisypull/sim/churn.hpp"
 #include "noisypull/sim/lumped_engine.hpp"
-#include "noisypull/sim/repeat.hpp"
+#include "noisypull/sim/runner.hpp"
 
 namespace noisypull {
 
@@ -126,6 +125,8 @@ struct SteadyStateSpec {
 };
 
 // One grid cell: everything needed to run (and cache) its repetitions.
+// Agent cells run on AggregateEngine (wrapped in a FaultyEngine when a fault
+// plan is set); lumped cells run on the engine their factory builds.
 // Field order tracks how often benches set each field (designated
 // initializers must follow declaration order, and skipping a *middle*
 // field trips -Wmissing-field-initializers under the -Werror build).
@@ -139,7 +140,6 @@ struct ExperimentCell {
   // CellKey digest over the protocol type and construction parameters
   // captured inside make_protocol.  Required when caching is enabled.
   std::uint64_t protocol_digest = 0;
-  bool use_aggregate_engine = true;
   std::optional<Matrix> artificial_noise{};
   // Wraps the engine in a FaultyEngine realizing this plan (a fresh
   // decorator per repetition, so stall state never leaks across runs).
@@ -233,8 +233,10 @@ struct SchedulerOptions {
   StopRule stop{};
   // Directory of the content-addressed result cache; empty disables it.
   std::string cache_dir{};
-  // Engine lanes inside each repetition (Engine::set_threads); 0 = auto
-  // anti-oversubscription split as in RepeatOptions::engine_threads.
+  // Engine lanes inside each repetition (Engine::set_threads).  0 = auto:
+  // hardware_concurrency / threads (at least 1), so outer × inner
+  // parallelism never oversubscribes the machine — the setting for few huge
+  // repetitions.  Trajectory-invariant like `threads`.
   unsigned engine_threads = 1;
   // Checkpoint/resume manifest file; empty disables.  A sweep restarted
   // with the same path replays completed (cell × repetition) outcomes and

@@ -107,56 +107,7 @@ void ExactEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
       });
 }
 
-void AggregateEngine::set_artificial_noise(std::optional<Matrix> p) {
-  artificial_ = std::move(p);
-}
-
-void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
-                           Holdings h_in, std::uint64_t round, Rng& rng) {
-  const std::uint64_t h = h_in.get();
-  const std::uint64_t n = protocol.num_agents();
-  const std::size_t d = protocol.alphabet_size();
-  NOISYPULL_CHECK(noise.alphabet_size() == d,
-                  "noise matrix alphabet does not match protocol");
-  NOISYPULL_CHECK(h >= 1, "sample size h must be at least 1");
-
-  const auto c = display_histogram(protocol, round);
-
-  // One observation is distributed as: pick a displayed symbol σ with
-  // probability c[σ]/n, then corrupt through the (possibly composed)
-  // channel.  So q[σ'] ∝ Σ_σ c[σ]·channel(σ,σ').
-  Matrix channel = noise.matrix();
-  if (artificial_) channel = channel * *artificial_;
-
-  std::array<double, kMaxAlphabet> q{};
-  for (std::size_t to = 0; to < d; ++to) {
-    double w = 0.0;
-    for (std::size_t from = 0; from < d; ++from) {
-      w += static_cast<double>(c[from]) * channel(from, to);
-    }
-    q[to] = w;
-  }
-
-  // q is one distribution for all n agents: build the per-round sampler once
-  // and draw each agent's count vector from it with a single uniform.  The
-  // draw count n lets the sampler skip table construction when the outcome
-  // space would not amortize over the population (amortization gate,
-  // rng/observation_cache.hpp).
-  sampler_.reset(h, std::span<const double>(q.data(), d), sampler_cache(), n);
-
-  const std::uint64_t round_key = rng.next();
-  for_each_block(
-      n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
-        SymbolCounts obs(d);
-        for (std::uint64_t i = begin; i < end; ++i) {
-          obs.clear();
-          sampler_.sample(brng, obs);
-          protocol.update(i, round, obs, brng);
-        }
-      });
-}
-
-HeterogeneousEngine::HeterogeneousEngine(std::vector<NoiseMatrix> per_agent)
+AggregateEngine::AggregateEngine(std::vector<NoiseMatrix> per_agent)
     : per_agent_(std::move(per_agent)) {
   NOISYPULL_CHECK(!per_agent_.empty(), "need at least one noise matrix");
   const std::size_t d = per_agent_.front().alphabet_size();
@@ -166,24 +117,24 @@ HeterogeneousEngine::HeterogeneousEngine(std::vector<NoiseMatrix> per_agent)
   }
 }
 
-void HeterogeneousEngine::set_artificial_noise(std::optional<Matrix> p) {
+void AggregateEngine::set_artificial_noise(std::optional<Matrix> p) {
   artificial_ = std::move(p);
-  cache_valid_ = false;
+  group_of_.clear();  // per-agent channels are regrouped on the next step
 }
 
-void HeterogeneousEngine::rebuild_channel_cache() {
-  const std::size_t d = per_agent_.front().alphabet_size();
-  const std::size_t dd = d * d;
-  channels_.resize(per_agent_.size() * dd);
-  for (std::size_t i = 0; i < per_agent_.size(); ++i) {
-    Matrix channel = per_agent_[i].matrix();
-    if (artificial_) channel = channel * *artificial_;
-    for (std::size_t from = 0; from < d; ++from) {
-      for (std::size_t to = 0; to < d; ++to) {
-        channels_[(i * d + from) * d + to] = channel(from, to);
-      }
-    }
+double AggregateEngine::worst_upper_bound() const noexcept {
+  double worst = 0.0;
+  for (const auto& m : per_agent_) {
+    worst = std::max(worst, m.tightest_upper_bound());
   }
+  return worst;
+}
+
+Matrix AggregateEngine::effective_channel(const Matrix& m) const {
+  return artificial_ ? m * *artificial_ : m;
+}
+
+void AggregateEngine::group_per_agent_channels() {
   // Deduplicate bit-identical effective channels so agents with the same
   // matrix share one per-round sampler.  Ordered map: group ids must not
   // depend on hash iteration order (and unordered containers are lint-banned
@@ -192,53 +143,54 @@ void HeterogeneousEngine::rebuild_channel_cache() {
   group_of_.resize(per_agent_.size());
   group_channels_.clear();
   group_sizes_.clear();
-  std::vector<double> key(dd);
   for (std::size_t i = 0; i < per_agent_.size(); ++i) {
-    std::copy_n(channels_.begin() + static_cast<std::ptrdiff_t>(i * dd), dd,
-                key.begin());
     const auto [it, inserted] =
-        ids.emplace(key, static_cast<std::uint32_t>(ids.size()));
+        ids.emplace(effective_channel(per_agent_[i].matrix()).data(),
+                    static_cast<std::uint32_t>(ids.size()));
     if (inserted) {
-      group_channels_.insert(group_channels_.end(), key.begin(), key.end());
+      group_channels_.insert(group_channels_.end(), it->first.begin(),
+                             it->first.end());
       group_sizes_.push_back(0);
     }
     group_of_[i] = it->second;
     ++group_sizes_[static_cast<std::size_t>(it->second)];
   }
-  num_groups_ = ids.size();
-  cache_valid_ = true;
 }
 
-double HeterogeneousEngine::worst_upper_bound() const noexcept {
-  double worst = 0.0;
-  for (const auto& m : per_agent_) {
-    worst = std::max(worst, m.tightest_upper_bound());
-  }
-  return worst;
-}
-
-void HeterogeneousEngine::step(PullProtocol& protocol,
-                               const NoiseMatrix& noise, Holdings h_in,
-                               std::uint64_t round, Rng& rng) {
+void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
+                           Holdings h_in, std::uint64_t round, Rng& rng) {
   const std::uint64_t h = h_in.get();
   const std::uint64_t n = protocol.num_agents();
   const std::size_t d = protocol.alphabet_size();
+  const bool shared = per_agent_.empty();
   NOISYPULL_CHECK(noise.alphabet_size() == d,
                   "noise matrix alphabet does not match protocol");
-  NOISYPULL_CHECK(per_agent_.size() == n,
+  NOISYPULL_CHECK(shared || per_agent_.size() == n,
                   "need exactly one noise matrix per agent");
-  NOISYPULL_CHECK(per_agent_.front().alphabet_size() == d,
+  NOISYPULL_CHECK(shared || per_agent_.front().alphabet_size() == d,
                   "per-agent noise alphabet does not match protocol");
   NOISYPULL_CHECK(h >= 1, "sample size h must be at least 1");
 
   const auto c = display_histogram(protocol, round);
-  if (!cache_valid_) rebuild_channel_cache();
+  if (shared) {
+    // The step's channel may differ every round (noise bursts), so the one
+    // group is rebuilt per step.
+    group_channels_ = effective_channel(noise.matrix()).data();
+    group_sizes_.assign(1, n);
+  } else if (group_of_.empty()) {
+    group_per_agent_channels();
+  }
 
-  // One sampler per distinct channel per round; q_g ∝ cᵀ·channel_g.  Built
-  // serially before the parallel phase, read-only during it.
-  samplers_.resize(num_groups_);
+  // One observation is distributed as: pick a displayed symbol σ with
+  // probability c[σ]/n, then corrupt through the group's effective channel.
+  // So q_g[σ'] ∝ Σ_σ c[σ]·channel_g(σ,σ').  One sampler per group per
+  // round, built serially before the parallel phase and read-only during
+  // it; its draw count is the group's size, which lets the sampler skip
+  // table construction when the outcome space would not amortize over it
+  // (amortization gate, rng/observation_cache.hpp).
+  samplers_.resize(group_sizes_.size());
   std::array<double, kMaxAlphabet> q{};
-  for (std::size_t g = 0; g < num_groups_; ++g) {
+  for (std::size_t g = 0; g < group_sizes_.size(); ++g) {
     const double* channel = &group_channels_[g * d * d];
     for (std::size_t to = 0; to < d; ++to) {
       double w = 0.0;
@@ -247,22 +199,27 @@ void HeterogeneousEngine::step(PullProtocol& protocol,
       }
       q[to] = w;
     }
-    // A group's sampler serves exactly group_sizes_[g] draws this round, so
-    // the amortization gate sees the per-group (not whole-population) count.
     samplers_[g].reset(h, std::span<const double>(q.data(), d),
                        sampler_cache(), group_sizes_[g]);
   }
 
+  // Hoisted out of the per-agent loop: the shared mode's null group_of
+  // keeps it to one sampler without touching per_agent_ per agent.
+  const ObservationSampler* samplers = samplers_.data();
+  const std::uint32_t* group_of = shared ? nullptr : group_of_.data();
   const std::uint64_t round_key = rng.next();
-  for_each_block(
-      n, round_key, [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
+  for_each_block(n, round_key,
+                 [&, samplers, group_of](std::uint64_t begin, std::uint64_t end,
+                                         Rng& brng) {
         SymbolCounts obs(d);
         for (std::uint64_t i = begin; i < end; ++i) {
           obs.clear();
-          // group_of_ holds 32-bit ids; widen explicitly so every index
+          // group_of holds 32-bit ids; widen explicitly so every index
           // expression in the engines is 64-bit before arithmetic
           // (clang-tidy bugprone-implicit-widening gate, .clang-tidy).
-          samplers_[static_cast<std::size_t>(group_of_[i])].sample(brng, obs);
+          const std::size_t g =
+              group_of == nullptr ? 0 : static_cast<std::size_t>(group_of[i]);
+          samplers[g].sample(brng, obs);
           protocol.update(i, round, obs, brng);
         }
       });

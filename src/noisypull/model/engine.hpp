@@ -11,15 +11,16 @@
 // The count vector is therefore exactly Multinomial(h, q); drawing it
 // directly is identical in distribution and costs O(|Σ|) per agent, making
 // n = 10⁶ with h = n feasible.  Tests cross-validate the two engines
-// statistically (tests/test_engines.cpp).  Because q is one distribution
-// shared by all n agents, AggregateEngine further funnels the per-agent draw
-// through an ObservationSampler (rng/observation_cache.hpp): one per-round
-// inverse-CDF table, one uniform per agent.  HeterogeneousEngine reuses the
-// same cache per *distinct* effective channel.
+// statistically (tests/test_engines.cpp).  Every agent that sees the same
+// channel draws from the same q, so AggregateEngine funnels the per-agent
+// draw through one ObservationSampler (rng/observation_cache.hpp) per
+// distinct channel: one per-round inverse-CDF table, one uniform per agent.
+// By default all n agents share the step's channel; the per-agent
+// constructor gives each receiver its own.
 //
-// Block-parallel kernel (DESIGN.md §9): ExactEngine, AggregateEngine, and
-// HeterogeneousEngine split each round's sampling+update phase into fixed
-// kBlockSize-agent blocks.  Per round the engine draws ONE 64-bit round key
+// Block-parallel kernel (DESIGN.md §9): ExactEngine and AggregateEngine
+// split each round's sampling+update phase into fixed kBlockSize-agent
+// blocks.  Per round the engine draws ONE 64-bit round key
 // from the caller's rng and block b runs on the substream Rng(round_key, b) —
 // the same derivation whether the blocks execute serially or on a ThreadPool,
 // so the trajectory (and hence the replay digest) is a function of seed and
@@ -144,15 +145,61 @@ class ExactEngine final : public Engine {
   std::vector<Symbol> displays_;  // scratch, reused across rounds
 };
 
+// Channel groups: agents whose effective channel (their matrix composed with
+// the artificial noise P) is bit-identical share one per-round
+// ObservationSampler, so each agent costs a single cached inverse-CDF draw
+// whenever the number of distinct channels is small.  A sampler's
+// amortization gate sees its group's size, not n.
+//
+// Shared mode (default constructor): one group of all n agents whose
+// channel is each step's `noise`·P — so a per-step matrix such as a
+// FaultyEngine noise burst takes effect.
+//
+// Per-agent mode: each *receiving* agent has its own channel matrix (the
+// paper assumes one common N; real sensor populations don't).  Observation
+// i's law is q_i ∝ cᵀ·N_i, so the aggregate trick still applies per
+// receiver.  The `noise` argument passed to step() is then only validated
+// for alphabet compatibility and is otherwise ignored — the per-agent
+// matrices given at construction are what corrupt observations, so
+// FaultyEngine noise bursts are silently dropped (noisypull_cli rejects
+// --burst-rate with --engine heterogeneous).  Per-agent channels enable the
+// THM4-D style robustness claim: SF tuned to the worst agent's δ_max still
+// converges when most agents are much cleaner (bench tab_heterogeneous).
 class AggregateEngine final : public Engine {
  public:
+  AggregateEngine() = default;
+
+  // One noise matrix per agent (size must equal the protocol's n; all
+  // matrices must share the protocol's alphabet).
+  explicit AggregateEngine(std::vector<NoiseMatrix> per_agent);
+
   void step(PullProtocol& protocol, const NoiseMatrix& noise, Holdings h,
             std::uint64_t round, Rng& rng) override;
   void set_artificial_noise(std::optional<Matrix> p) override;
 
+  // Tightest δ such that every per-agent matrix is δ-upper-bounded — the
+  // level a protocol must be tuned to.  0 in shared mode, whose channel is
+  // whatever each step passes.
+  double worst_upper_bound() const noexcept;
+
+  // Number of distinct effective channels (valid after the first step).
+  std::size_t distinct_channels() const noexcept {
+    return group_sizes_.size();
+  }
+
  private:
+  Matrix effective_channel(const Matrix& m) const;
+  void group_per_agent_channels();
+
+  std::vector<NoiseMatrix> per_agent_;  // empty in shared mode
   std::optional<Matrix> artificial_;
-  ObservationSampler sampler_;  // reset per round; read-only during blocks
+  // Agent i draws from group group_of_[i] (per-agent mode only; empty until
+  // grouped), whose effective channel is group_channels_[g·d² .. (g+1)·d²).
+  std::vector<std::uint32_t> group_of_;
+  std::vector<double> group_channels_;
+  std::vector<std::uint64_t> group_sizes_;  // agents per group: the draw
+                                            // count its sampler amortizes over
+  std::vector<ObservationSampler> samplers_;  // one per group, reset per round
 };
 
 // Asynchronous (sequential-activation) engine: instead of the synchronous
@@ -183,57 +230,6 @@ class SequentialEngine final : public Engine {
   Order order_;
   std::optional<Matrix> artificial_;
   std::vector<std::uint64_t> perm_;  // scratch
-};
-
-// Heterogeneous-noise engine: each *receiving* agent has its own channel
-// matrix (the paper assumes one common N; real sensor populations don't).
-// Observation i's law is q_i ∝ cᵀ·N_i, so the aggregate trick still applies
-// per receiver at O(|Σ|²) each.  The `noise` argument passed to step() is
-// only validated for alphabet compatibility and is otherwise ignored — the
-// per-agent matrices given at construction are what corrupt observations.
-// A caller that varies the per-step matrix therefore has no effect here:
-// FaultyEngine noise bursts, which arrive through that argument, are
-// silently dropped (noisypull_cli rejects --burst-rate with this engine).
-// Per-agent channels enable the THM4-D style robustness claim: SF tuned to
-// the worst agent's δ_max still converges when most agents are much cleaner
-// (bench tab_heterogeneous).
-//
-// Agents sharing a bit-identical effective channel share one per-round
-// ObservationSampler, so the per-agent cost drops from O(|Σ|²) plus a
-// multinomial to a single cached inverse-CDF draw whenever the number of
-// distinct channels is small (the realistic sensor-tier case).
-class HeterogeneousEngine final : public Engine {
- public:
-  // One noise matrix per agent (size must equal the protocol's n; all
-  // matrices must share the protocol's alphabet).
-  explicit HeterogeneousEngine(std::vector<NoiseMatrix> per_agent);
-
-  void step(PullProtocol& protocol, const NoiseMatrix& noise, Holdings h,
-            std::uint64_t round, Rng& rng) override;
-  void set_artificial_noise(std::optional<Matrix> p) override;
-
-  // Tightest δ such that every per-agent matrix is δ-upper-bounded — the
-  // level a protocol must be tuned to.
-  double worst_upper_bound() const noexcept;
-
-  // Number of distinct effective channels (valid after the first step).
-  std::size_t distinct_channels() const noexcept { return num_groups_; }
-
- private:
-  void rebuild_channel_cache();
-
-  std::vector<NoiseMatrix> per_agent_;
-  std::optional<Matrix> artificial_;
-  std::vector<double> channels_;  // n·d·d flattened effective channels
-  // Channel deduplication: agent i draws from group group_of_[i], whose
-  // effective channel is group_channels_[g·d² .. (g+1)·d²).
-  std::vector<std::uint32_t> group_of_;
-  std::vector<double> group_channels_;
-  std::vector<std::uint64_t> group_sizes_;  // agents per group: the draw
-                                            // count its sampler amortizes over
-  std::size_t num_groups_ = 0;
-  std::vector<ObservationSampler> samplers_;  // one per group, reset per round
-  bool cache_valid_ = false;
 };
 
 }  // namespace noisypull

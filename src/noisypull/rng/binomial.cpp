@@ -34,6 +34,12 @@ double stirling_approx_tail(double k) noexcept {
 // pathological input rather than bad luck — after kMaxRestarts the sampler
 // returns the mode-adjacent boundary n (where the unaccounted mass lives)
 // instead of looping unboundedly.
+//
+// Once the running pmf r underflows to 0 with residual mass u > 0 left, the
+// walk can no longer stop before x > n, where it would restart with a fresh
+// uniform; restarting at the underflow instead draws the same values and
+// consumes the same uniforms, but costs O(x) rather than O(n) steps — the
+// difference between microseconds and hours at n = 10¹².
 constexpr int kBinvMaxRestarts = 64;
 
 std::uint64_t binv(Rng& rng, std::uint64_t n, double p) {
@@ -47,14 +53,13 @@ std::uint64_t binv(Rng& rng, std::uint64_t n, double p) {
   while (u > r) {
     u -= r;
     ++x;
-    if (x > n) {  // numeric guard against accumulated round-off
+    if (x <= n) r *= (a / static_cast<double>(x) - s);
+    if (x > n || r == 0.0) {  // numeric guard against accumulated round-off
       if (++restarts >= kBinvMaxRestarts) return n;
       x = 0;
       r = std::pow(q, static_cast<double>(n));
       u = rng.next_double();
-      continue;
     }
-    r *= (a / static_cast<double>(x) - s);
   }
   return x;
 }

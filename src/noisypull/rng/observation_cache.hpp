@@ -1,8 +1,8 @@
 // Per-round cached observation sampler for the aggregate-style engines.
 //
-// In AggregateEngine (and per distinct channel in HeterogeneousEngine) the
-// law of one agent's observation counts is fixed for the whole round:
-// SymbolCounts ~ Multinomial(h, q) with the same q for all n agents.  The
+// In AggregateEngine the law of one agent's observation counts is fixed for
+// the whole round: SymbolCounts ~ Multinomial(h, q) with the same q for all
+// agents that share a channel (all n of them in the default shared mode).  The
 // conditional-binomial decomposition (rng/binomial.hpp) pays d−1 binomial
 // draws per agent; this sampler instead treats the *outcome space* — the
 // C(h+d−1, d−1) count vectors summing to h (h+1 outcomes for the binary
@@ -29,8 +29,8 @@
 // Amortization gate: the inverse-CDF table costs one full enumeration of
 // the outcome space per round, which only pays for itself when at least as
 // many draws as outcomes will amortize it.  reset() therefore takes the
-// expected number of draws this round (the engines pass their agent count,
-// or the per-channel group size in HeterogeneousEngine) and falls back to
+// expected number of draws this round (the engines pass the number of
+// agents sharing the sampler: n, or a channel group's size) and falls back to
 // the decomposition when the outcome space is larger.  The chosen mode is a
 // function of (h, d, expected_draws) only — NEVER of the cache toggle — so
 // the cache on/off trajectory-invariance contract above is preserved; the

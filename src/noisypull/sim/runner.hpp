@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "noisypull/common/cancel.hpp"
@@ -66,6 +67,11 @@ struct RunResult {
 // Number of agents currently holding `correct`.
 std::uint64_t count_correct(const PullProtocol& protocol, Opinion correct);
 std::uint64_t count_correct(const PushProtocol& protocol, Opinion correct);
+
+// Builds a fresh protocol instance for one repetition.  `init_rng` must be
+// used for all randomness of construction/corruption.
+using ProtocolFactory =
+    std::function<std::unique_ptr<PullProtocol>(Rng& init_rng)>;
 
 // Executes the run.  `correct` is the ground-truth opinion the population
 // must converge to (PopulationConfig::correct_opinion() in all experiments).

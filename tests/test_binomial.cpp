@@ -187,6 +187,24 @@ TEST(Binomial, GoodnessOfFitAtTheReflectionBoundary) {
             chi_square_critical_999(6));
 }
 
+TEST(Binomial, UnderflowedWalkRestartsWithoutWalkingToN) {
+  // n = 10¹², p = 6.737·10⁻¹² (n·p ≈ 6.7, BINV): the cdf mass the walk can
+  // accumulate before its pmf underflows falls about 5.5·10⁻⁵ short of 1,
+  // so a few draws per 10⁵ restart.  Each restart must cost O(mean) steps,
+  // not a 10¹²-step walk to x > n, and the draws must stay exact.
+  const std::uint64_t n = 1'000'000'000'000ULL;
+  const double p = 6.737e-12;
+  const int draws = 100000;
+  Rng rng(782);
+  double sum = 0.0;
+  for (int i = 0; i < draws; ++i) {
+    sum += static_cast<double>(sample_binomial(rng, n, p));
+  }
+  const double np = static_cast<double>(n) * p;
+  const double sigma = std::sqrt(np * (1.0 - p) / draws);
+  EXPECT_NEAR(sum / draws, np, 5.0 * sigma);
+}
+
 TEST(Multinomial, CountsSumToN) {
   Rng rng(3);
   const std::vector<double> w = {1.0, 2.0, 3.0, 4.0};

@@ -49,16 +49,16 @@ std::vector<NoiseMatrix> mixed_noise(std::uint64_t n, double low,
 }
 
 TEST(HeterogeneousEngine, Validation) {
-  EXPECT_THROW(HeterogeneousEngine({}), std::invalid_argument);
+  EXPECT_THROW(AggregateEngine(std::vector<NoiseMatrix>{}), std::invalid_argument);
   std::vector<NoiseMatrix> mismatched;
   mismatched.push_back(NoiseMatrix::uniform(2, 0.1));
   mismatched.push_back(NoiseMatrix::uniform(3, 0.1));
-  EXPECT_THROW(HeterogeneousEngine(std::move(mismatched)),
+  EXPECT_THROW(AggregateEngine(std::move(mismatched)),
                std::invalid_argument);
 
   // Wrong matrix count for the protocol.
   Recorder protocol(std::vector<Symbol>(4, 0));
-  HeterogeneousEngine engine(mixed_noise(3, 0.0, 0.1));
+  AggregateEngine engine(mixed_noise(3, 0.0, 0.1));
   Rng rng(1);
   EXPECT_THROW(engine.step(protocol, NoiseMatrix::uniform(2, 0.1), Holdings{1},
                            0, rng),
@@ -66,8 +66,27 @@ TEST(HeterogeneousEngine, Validation) {
 }
 
 TEST(HeterogeneousEngine, WorstUpperBound) {
-  HeterogeneousEngine engine(mixed_noise(10, 0.05, 0.25));
+  AggregateEngine engine(mixed_noise(10, 0.05, 0.25));
   EXPECT_NEAR(engine.worst_upper_bound(), 0.25, 1e-12);
+}
+
+TEST(HeterogeneousEngine, ChannelGroups) {
+  // Shared mode is one group of every agent; per-agent mode has one group
+  // per distinct effective channel, and artificial noise regroups them.
+  Recorder protocol(std::vector<Symbol>(6, 1));
+  Rng rng(6);
+  AggregateEngine shared;
+  shared.step(protocol, NoiseMatrix::uniform(2, 0.1), Holdings{4}, 0, rng);
+  EXPECT_EQ(shared.distinct_channels(), 1u);
+  EXPECT_EQ(shared.worst_upper_bound(), 0.0);
+
+  AggregateEngine mixed(mixed_noise(6, 0.1, 0.2));
+  mixed.step(protocol, NoiseMatrix::uniform(2, 0.1), Holdings{4}, 0, rng);
+  EXPECT_EQ(mixed.distinct_channels(), 2u);
+  // A fully scrambling P maps both channels to the same uniform channel.
+  mixed.set_artificial_noise(Matrix{0.5, 0.5, 0.5, 0.5});
+  mixed.step(protocol, NoiseMatrix::uniform(2, 0.1), Holdings{4}, 1, rng);
+  EXPECT_EQ(mixed.distinct_channels(), 1u);
 }
 
 TEST(HeterogeneousEngine, PerAgentChannelsAreApplied) {
@@ -77,7 +96,7 @@ TEST(HeterogeneousEngine, PerAgentChannelsAreApplied) {
   noise.push_back(NoiseMatrix::noiseless(2));
   noise.push_back(NoiseMatrix(Matrix{0.5, 0.5, 0.5, 0.5}));
   Recorder protocol(std::vector<Symbol>(2, 1));
-  HeterogeneousEngine engine(std::move(noise));
+  AggregateEngine engine(std::move(noise));
   Rng rng(2);
 
   std::array<std::uint64_t, 2> scrambled{};
@@ -99,7 +118,7 @@ TEST(HeterogeneousEngine, UniformSpecialCaseMatchesAggregateLaw) {
   std::vector<Symbol> displays(n, 0);
   displays[0] = displays[1] = displays[2] = 1;
   Recorder protocol(displays);
-  HeterogeneousEngine engine(
+  AggregateEngine engine(
       std::vector<NoiseMatrix>(n, NoiseMatrix::uniform(2, 0.1)));
   Rng rng(3);
   std::array<std::uint64_t, 2> totals{};
@@ -117,7 +136,7 @@ TEST(HeterogeneousEngine, UniformSpecialCaseMatchesAggregateLaw) {
 TEST(HeterogeneousEngine, ArtificialNoiseComposesPerAgent) {
   // Noiseless per-agent channels + scrambling artificial noise → uniform.
   Recorder protocol(std::vector<Symbol>(4, 1));
-  HeterogeneousEngine engine(
+  AggregateEngine engine(
       std::vector<NoiseMatrix>(4, NoiseMatrix::noiseless(2)));
   engine.set_artificial_noise(Matrix{0.5, 0.5, 0.5, 0.5});
   Rng rng(4);
@@ -139,7 +158,7 @@ TEST(HeterogeneousEngine, SfTunedToWorstAgentConverges) {
   // from every receiver's perspective).
   const auto p = pop(600, 1, 0);
   auto noise = mixed_noise(p.n, 0.02, 0.25);
-  HeterogeneousEngine engine(std::move(noise));
+  AggregateEngine engine(std::move(noise));
   SourceFilter sf(p, Holdings{p.n}, Delta{engine.worst_upper_bound()}, C1{2.0});
   Rng rng(5);
   const auto result =
@@ -169,10 +188,10 @@ Trajectory run_sf(Engine& engine, const PopulationConfig& p, std::uint64_t h,
 }
 
 TEST(HeterogeneousEngine, OneSharedMatrixIsBitIdenticalToAggregate) {
-  // n copies of one matrix form a single channel group: the same q, the same
-  // per-round sampler and the same per-agent draws as AggregateEngine, so
-  // the trajectories must agree bit for bit — bare and under a drop/crash
-  // FaultPlan, at every lane count.  h = 16 puts the shared sampler in
+  // n per-agent copies of one matrix form a single channel group: the same
+  // q, the same per-round sampler and the same per-agent draws as the shared
+  // mode, so the trajectories must agree bit for bit — bare and under a
+  // drop/crash FaultPlan, at every lane count.  h = 16 puts the shared sampler in
   // inverse-CDF mode; h = n = 300 (301 outcomes over 300 draws) in the
   // decomposition fallback.
   const auto p = pop(300, 2, 1);
@@ -193,7 +212,7 @@ TEST(HeterogeneousEngine, OneSharedMatrixIsBitIdenticalToAggregate) {
           return run_sf(engine, p, h, delta, 11);
         };
         AggregateEngine aggregate;
-        HeterogeneousEngine heterogeneous(
+        AggregateEngine heterogeneous(
             std::vector<NoiseMatrix>(p.n, NoiseMatrix::uniform(2, delta)));
         EXPECT_EQ(trajectory(heterogeneous), trajectory(aggregate))
             << "h=" << h << " lanes=" << lanes << " faulted=" << faulted;

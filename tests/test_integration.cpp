@@ -123,15 +123,18 @@ TEST(Integration, SsfWithNonUniformNoiseViaReduction) {
 TEST(Integration, RepeatHarnessEstimatesHighSuccessForSf) {
   const auto p = pop(400, 1, 0);
   const double delta = 0.15;
-  const auto noise = NoiseMatrix::uniform(2, delta);
-  const auto results = run_repetitions(
-      [&](Rng&) -> std::unique_ptr<PullProtocol> {
+  const ExperimentCell cell{
+      .make_protocol = [p, delta](Rng&) -> std::unique_ptr<PullProtocol> {
         return std::make_unique<SourceFilter>(p, Holdings{p.n}, Delta{delta},
                                               C1{2.0});
       },
-      noise, p.correct_opinion(), RunConfig{.h = p.n},
-      RepeatOptions{.repetitions = 10, .seed = 7});
-  EXPECT_GE(success_rate(results), 0.9);
+      .noise = NoiseMatrix::uniform(2, delta),
+      .correct = p.correct_opinion(),
+      .cfg = RunConfig{.h = p.n},
+      .seed = 7};
+  const auto stats = run_experiment(
+      {cell}, SchedulerOptions{.stop = StopRule{.max_reps = 10}});
+  EXPECT_GE(stats.front().success_rate, 0.9);
 }
 
 TEST(Integration, WeakOpinionAdvantageIsPositive) {

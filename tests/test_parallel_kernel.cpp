@@ -63,7 +63,7 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, std::size_t d = 2) {
         per_agent.push_back(
             NoiseMatrix::uniform(d, i < kN - 4 ? kDelta : 0.1));
       }
-      return std::make_unique<HeterogeneousEngine>(std::move(per_agent));
+      return std::make_unique<AggregateEngine>(std::move(per_agent));
     }
   }
   return nullptr;

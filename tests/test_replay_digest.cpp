@@ -87,7 +87,7 @@ std::unique_ptr<Engine> make_engine(EngineKind kind) {
     case EngineKind::Sequential:
       return std::make_unique<SequentialEngine>();
     case EngineKind::Heterogeneous:
-      return std::make_unique<HeterogeneousEngine>(std::vector<NoiseMatrix>(
+      return std::make_unique<AggregateEngine>(std::vector<NoiseMatrix>(
           kN, NoiseMatrix::uniform(2, kDelta)));
   }
   return nullptr;

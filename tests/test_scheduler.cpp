@@ -5,11 +5,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "noisypull/analysis/table.hpp"
 #include "noisypull/core/source_filter.hpp"
-#include "noisypull/sim/repeat.hpp"
 
 namespace noisypull {
 namespace {
@@ -79,6 +81,95 @@ void expect_same(const CellStats& a, const CellStats& b) {
   EXPECT_EQ(a.cache_key, b.cache_key);
 }
 
+// The repetition derivation the scheduler promises (header comment), by
+// hand: repetition r builds its protocol from Rng(seed, 2r) and runs it on
+// Rng(seed, 2r+1) under a fresh AggregateEngine.
+std::vector<RepOutcome> hand_outcomes(const ExperimentCell& cell,
+                                      std::uint64_t reps) {
+  std::vector<RepOutcome> outcomes;
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    Rng init_rng(cell.seed, 2 * r);
+    Rng run_rng(cell.seed, 2 * r + 1);
+    const auto protocol = cell.make_protocol(init_rng);
+    AggregateEngine engine;
+    outcomes.push_back(to_outcome(run(*protocol, engine, cell.noise,
+                                      cell.correct, cell.cfg, run_rng)));
+  }
+  return outcomes;
+}
+
+// An experiment with every repetition's outcome, read back from the cells'
+// cache files: CellStats only aggregates, the cache keeps the repetitions
+// one by one.  `tag` names a scratch cache directory of its own.
+struct CellRun {
+  CellStats stats;
+  std::vector<RepOutcome> outcomes;
+};
+
+std::vector<CellRun> run_cells(const std::vector<ExperimentCell>& cells,
+                               SchedulerOptions opts, const std::string& tag) {
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / ("noisypull_sched_" + tag);
+  fs::remove_all(dir);
+  opts.cache_dir = dir.string();
+  const auto stats = run_experiment(cells, opts);
+  std::vector<std::string> payloads;
+  for (const auto& file : fs::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    payloads.emplace_back(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>());
+  }
+  fs::remove_all(dir);
+  std::vector<CellRun> runs;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    CellRun run_c{.stats = stats[c], .outcomes = {}};
+    for (const std::string& payload : payloads) {
+      CacheEntry entry = parse_cache_entry(payload, cell_cache_key(cells[c]));
+      if (entry.status == CacheEntryStatus::kHit) {
+        run_c.outcomes = std::move(entry.outcomes);
+      }
+    }
+    EXPECT_EQ(run_c.outcomes.size(), run_c.stats.reps) << "cell " << c;
+    runs.push_back(std::move(run_c));
+  }
+  return runs;
+}
+
+// A full run and a truncated run of one population.  The full run's
+// statistics carry every repetition's convergence round; the truncated
+// run's final correct counts differ from repetition to repetition, so a
+// comparison of outcomes also sees repetitions that trade places.
+std::vector<ExperimentCell> full_and_truncated(const PopulationConfig& p,
+                                               std::uint64_t seed) {
+  return {sf_cell(p, 0.1, seed), truncated_cell(p, 0.3, seed + 1)};
+}
+
+// Same statistics and, repetition by repetition, the same final correct
+// count and first all-correct round; and a comparison that can fail.
+void expect_same_reps(const std::vector<CellRun>& a,
+                      const std::vector<CellRun>& b) {
+  ASSERT_EQ(a.size(), 2u);
+  ASSERT_EQ(b.size(), 2u);
+  ASSERT_TRUE(a[0].stats.mean_convergence_round.has_value());
+  bool counts_vary = false;
+  for (const RepOutcome& o : a[1].outcomes) {
+    counts_vary |= o.correct_at_end != a[1].outcomes[0].correct_at_end;
+  }
+  EXPECT_TRUE(counts_vary);
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    expect_same(a[c].stats, b[c].stats);
+    ASSERT_EQ(a[c].outcomes.size(), b[c].outcomes.size());
+    for (std::size_t r = 0; r < a[c].outcomes.size(); ++r) {
+      EXPECT_EQ(a[c].outcomes[r].correct_at_end,
+                b[c].outcomes[r].correct_at_end)
+          << "cell " << c << " rep " << r;
+      EXPECT_EQ(a[c].outcomes[r].first_all_correct,
+                b[c].outcomes[r].first_all_correct)
+          << "cell " << c << " rep " << r;
+    }
+  }
+}
+
 std::vector<RepOutcome> synthetic_outcomes(const std::string& pattern) {
   std::vector<RepOutcome> outcomes;
   for (const char c : pattern) {
@@ -123,18 +214,89 @@ TEST(StopPoint, MixedPrefixNeverStopsBelowTarget) {
 }
 
 TEST(FinalizePrefix, MatchesRepeatHelpers) {
-  const auto p = pop(120, 1, 0);
-  const auto results = run_repetitions(
-      sf_factory(p, 0.25), NoiseMatrix::uniform(2, 0.25), 1,
-      RunConfig{.h = p.n}, RepeatOptions{.repetitions = 6, .seed = 7});
-  std::vector<RepOutcome> outcomes;
-  for (const auto& r : results) outcomes.push_back(to_outcome(r));
-  const StopRule rule{.max_reps = 6};
-  const CellStats stats = finalize_prefix(outcomes, 6, rule);
-  EXPECT_EQ(stats.success_rate, success_rate(results));
-  EXPECT_EQ(stats.stable_success_rate,
-            success_rate(results, /*require_stability=*/true));
-  EXPECT_EQ(stats.mean_convergence_round, mean_convergence_round(results));
+  // Success rates and the mean convergence round, recomputed here from the
+  // outcomes of six real runs.
+  const auto outcomes = hand_outcomes(sf_cell(pop(120, 1, 0), 0.25, 7), 6);
+  double successes = 0.0, stable_successes = 0.0, converged = 0.0;
+  double round_sum = 0.0;
+  for (const RepOutcome& o : outcomes) {
+    successes += o.all_correct_at_end ? 1.0 : 0.0;
+    stable_successes += o.all_correct_at_end && o.stable ? 1.0 : 0.0;
+    if (o.first_all_correct != kNever) {
+      converged += 1.0;
+      round_sum += static_cast<double>(o.first_all_correct);
+    }
+  }
+  ASSERT_GT(converged, 0.0);
+  const CellStats stats =
+      finalize_prefix(outcomes, 6, StopRule{.max_reps = 6});
+  EXPECT_EQ(stats.success_rate, successes / 6.0);
+  EXPECT_EQ(stats.stable_success_rate, stable_successes / 6.0);
+  ASSERT_TRUE(stats.mean_convergence_round.has_value());
+  EXPECT_DOUBLE_EQ(*stats.mean_convergence_round, round_sum / converged);
+}
+
+TEST(Aggregation, SuccessRate) {
+  // Success and stable-success rates of a cell, computed from synthetic
+  // outcomes.
+  std::vector<RepOutcome> outcomes(4);
+  outcomes[0].all_correct_at_end = true;
+  outcomes[1].all_correct_at_end = true;
+  outcomes[3].all_correct_at_end = true;
+  EXPECT_DOUBLE_EQ(
+      finalize_prefix(outcomes, 4, StopRule{.max_reps = 4}).success_rate,
+      0.75);
+
+  outcomes[0].stable = true;
+  const CellStats stats =
+      finalize_prefix(outcomes, 4, StopRule{.max_reps = 4});
+  EXPECT_DOUBLE_EQ(stats.success_rate, 0.75);
+  EXPECT_DOUBLE_EQ(stats.stable_success_rate, 0.25);
+  // A prefix longer than the completed outcomes is refused.
+  EXPECT_THROW(finalize_prefix({}, 1, StopRule{.max_reps = 1}),
+               std::invalid_argument);
+}
+
+TEST(Aggregation, StabilityOnTheWrongOpinionIsNotSuccess) {
+  // Outcomes can be built by hand (tests, cache records): one that settled
+  // (stable) on the WRONG consensus never counts as a success.
+  std::vector<RepOutcome> outcomes(4);
+  outcomes[0].stable = true;  // stable, but on the wrong opinion
+  outcomes[1].stable = true;
+  outcomes[1].all_correct_at_end = true;
+  outcomes[2].all_correct_at_end = true;
+  const CellStats stats =
+      finalize_prefix(outcomes, 4, StopRule{.max_reps = 4});
+  EXPECT_EQ(stats.successes, 2u);
+  EXPECT_EQ(stats.stable_successes, 1u);
+  EXPECT_DOUBLE_EQ(stats.success_rate, 0.5);
+  EXPECT_DOUBLE_EQ(stats.stable_success_rate, 0.25);
+}
+
+TEST(Aggregation, MeanConvergenceRound) {
+  std::vector<RepOutcome> outcomes(3);
+  outcomes[0].first_all_correct = 10;
+  outcomes[1].first_all_correct = 20;
+  outcomes[2].first_all_correct = kNever;  // excluded from the mean
+  const CellStats stats =
+      finalize_prefix(outcomes, 3, StopRule{.max_reps = 3});
+  ASSERT_TRUE(stats.mean_convergence_round.has_value());
+  EXPECT_DOUBLE_EQ(*stats.mean_convergence_round, 15.0);
+
+  // No converged repetition → an empty optional, never a numeric sentinel
+  // (static_cast<double>(kNever) would leak ~1.8e19 into tables as if it
+  // were a round count).
+  const std::vector<RepOutcome> none(2);
+  EXPECT_FALSE(finalize_prefix(none, 2, StopRule{.max_reps = 2})
+                   .mean_convergence_round.has_value());
+}
+
+TEST(Aggregation, MeanConvergenceRoundRendersAsNeverInTables) {
+  const std::vector<RepOutcome> none(1);
+  const CellStats stats = finalize_prefix(none, 1, StopRule{.max_reps = 1});
+  Table table({"mcr"});
+  table.cell(stats.mean_convergence_round, 1).end_row();
+  EXPECT_EQ(table.rows()[0][0], "never");
 }
 
 TEST(Scheduler, MatchesRunRepetitions) {
@@ -145,12 +307,8 @@ TEST(Scheduler, MatchesRunRepetitions) {
   const auto stats = run_experiment(cells, opts);
   ASSERT_EQ(stats.size(), cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    const auto results = run_repetitions(
-        cells[c].make_protocol, cells[c].noise, cells[c].correct, cells[c].cfg,
-        RepeatOptions{.repetitions = 5, .seed = cells[c].seed});
-    std::vector<RepOutcome> outcomes;
-    for (const auto& r : results) outcomes.push_back(to_outcome(r));
-    const CellStats expected = finalize_prefix(outcomes, 5, opts.stop);
+    const CellStats expected =
+        finalize_prefix(hand_outcomes(cells[c], 5), 5, opts.stop);
     EXPECT_EQ(stats[c].success_rate, expected.success_rate);
     EXPECT_EQ(stats[c].mean_convergence_round,
               expected.mean_convergence_round);
@@ -161,10 +319,73 @@ TEST(Scheduler, MatchesRunRepetitions) {
   }
 }
 
+TEST(Repeat, ProducesOneResultPerRepetition) {
+  const auto stats = run_experiment(
+      {sf_cell(pop(100, 1, 0), 0.1, 1)},
+      SchedulerOptions{.threads = 1, .stop = StopRule{.max_reps = 5}});
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].reps, 5u);
+  EXPECT_EQ(stats[0].reps_computed, 5u);
+  EXPECT_GT(stats[0].mean_rounds_run, 0.0);
+}
+
+TEST(Repeat, DeterministicForSameSeed) {
+  const auto cells = full_and_truncated(pop(100, 1, 0), 33);
+  const SchedulerOptions opts{.threads = 1, .stop = StopRule{.max_reps = 4}};
+  expect_same_reps(run_cells(cells, opts, "same_seed_a"),
+                   run_cells(cells, opts, "same_seed_b"));
+}
+
+TEST(Repeat, ThreadCountDoesNotChangeResults) {
+  const auto cells = full_and_truncated(pop(100, 1, 0), 44);
+  expect_same_reps(
+      run_cells(cells,
+                SchedulerOptions{.threads = 1, .stop = StopRule{.max_reps = 6}},
+                "threads_1"),
+      run_cells(cells,
+                SchedulerOptions{.threads = 4, .stop = StopRule{.max_reps = 6}},
+                "threads_4"));
+}
+
+TEST(Repeat, EngineThreadsDoNotChangeResults) {
+  // Inner (block-parallel) lanes compose with outer repetition workers
+  // without changing a single result bit.  n spans three engine blocks, so
+  // the lanes really split the population.
+  const auto cells = full_and_truncated(pop(9000, 1, 0), 77);
+  SchedulerOptions serial{.threads = 2, .stop = StopRule{.max_reps = 4}};
+  serial.engine_threads = 1;
+  SchedulerOptions inner_par = serial;
+  inner_par.engine_threads = 3;
+  expect_same_reps(run_cells(cells, serial, "engine_threads_1"),
+                   run_cells(cells, inner_par, "engine_threads_3"));
+}
+
+TEST(Repeat, RepetitionsAreIndependentAcrossSeeds) {
+  // Truncated right after the weak opinions form, correct_at_end is a
+  // high-entropy count, so the repetitions of two seeds must disagree
+  // somewhere.
+  const auto p = pop(100, 1, 0);
+  const SchedulerOptions opts{.threads = 2, .stop = StopRule{.max_reps = 4}};
+  const auto a = run_cells({truncated_cell(p, 0.3, 1)}, opts, "seed_1");
+  const auto b = run_cells({truncated_cell(p, 0.3, 2)}, opts, "seed_2");
+  ASSERT_EQ(a[0].outcomes.size(), 4u);
+  ASSERT_EQ(b[0].outcomes.size(), 4u);
+  bool any_diff = false;
+  for (std::size_t r = 0; r < a[0].outcomes.size(); ++r) {
+    any_diff |= a[0].outcomes[r].correct_at_end !=
+                    b[0].outcomes[r].correct_at_end ||
+                a[0].outcomes[r].first_all_correct !=
+                    b[0].outcomes[r].first_all_correct;
+  }
+  EXPECT_TRUE(any_diff);
+}
+
 TEST(Scheduler, BitIdenticalAcrossWorkerCounts) {
   // The determinism contract's core test: identical statistics AND stop
-  // points for 1, 2, and 8 workers, with adaptive early stopping on and a
-  // nonzero fault plan in the mix.
+  // points for 1, 2, and 8 workers and for 1 and 3 engine lanes per
+  // repetition, with adaptive early stopping on and a nonzero fault plan in
+  // the mix.  The last cell spans three engine blocks, so its lanes really
+  // run in parallel.
   FaultPlan plan;
   plan.seed = 5;
   plan.first_eligible = 1;
@@ -177,19 +398,28 @@ TEST(Scheduler, BitIdenticalAcrossWorkerCounts) {
     if (i % 2 == 1) cell.fault_plan = plan;
     cells.push_back(cell);
   }
+  // A full run, so its statistics carry every repetition's convergence
+  // round.
+  cells.push_back(sf_cell(pop(9000, 1, 0), 0.1, 44));
   const StopRule rule{.max_reps = 12, .min_reps = 3, .ci_halfwidth = 0.22};
 
   std::vector<std::vector<CellStats>> runs;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    runs.push_back(run_experiment(
-        cells, SchedulerOptions{.threads = threads, .stop = rule}));
+    for (const unsigned engine_threads : {1u, 3u}) {
+      SchedulerOptions opts{.threads = threads, .stop = rule};
+      opts.engine_threads = engine_threads;
+      runs.push_back(run_experiment(cells, opts));
+    }
   }
   bool any_early = false;
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    expect_same(runs[0][c], runs[1][c]);
-    expect_same(runs[0][c], runs[2][c]);
+    for (std::size_t run_index = 1; run_index < runs.size(); ++run_index) {
+      expect_same(runs[0][c], runs[run_index][c]);
+    }
     any_early |= runs[0][c].early_stopped;
   }
+  ASSERT_TRUE(runs[0].back().mean_convergence_round.has_value());
+  EXPECT_EQ(runs[0].back().successes, runs[0].back().reps);
   // The rule must actually have fired somewhere, or this test exercises
   // nothing adaptive.
   EXPECT_TRUE(any_early);
@@ -296,10 +526,6 @@ TEST(Scheduler, CacheKeyDistinguishesEveryTrajectoryInput) {
   EXPECT_NE(cell_cache_key(changed), key);
 
   changed = base;
-  changed.use_aggregate_engine = false;
-  EXPECT_NE(cell_cache_key(changed), key);
-
-  changed = base;
   changed.protocol_digest ^= 1;
   EXPECT_NE(cell_cache_key(changed), key);
 
@@ -312,6 +538,44 @@ TEST(Scheduler, CacheKeyDistinguishesEveryTrajectoryInput) {
   changed = base;
   changed.label = "different label";
   EXPECT_EQ(cell_cache_key(changed), key);
+}
+
+TEST(Repeat, FactoryExceptionsPropagateToTheCaller) {
+  ExperimentCell cell = sf_cell(pop(50, 1, 0), 0.1, 1);
+  cell.make_protocol = [](Rng&) -> std::unique_ptr<PullProtocol> {
+    throw std::invalid_argument("factory failure");
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW(
+        run_experiment({cell},
+                       SchedulerOptions{.threads = threads,
+                                        .stop = StopRule{.max_reps = 6}}),
+        std::invalid_argument)
+        << "threads=" << threads;
+  }
+}
+
+TEST(Repeat, RunExceptionsPropagateToTheCaller) {
+  // Alphabet mismatch between protocol (binary) and noise (3 symbols)
+  // surfaces from inside the repetition, serial and pooled.
+  ExperimentCell cell = sf_cell(pop(50, 1, 0), 0.1, 1);
+  cell.noise = NoiseMatrix::uniform(3, 0.1);
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_THROW(
+        run_experiment({cell},
+                       SchedulerOptions{.threads = threads,
+                                        .stop = StopRule{.max_reps = 4}}),
+        std::invalid_argument)
+        << "threads=" << threads;
+  }
+}
+
+TEST(Repeat, RejectsZeroRepetitions) {
+  EXPECT_THROW(
+      run_experiment({sf_cell(pop(50, 1, 0), 0.1, 1)},
+                     SchedulerOptions{.threads = 1,
+                                      .stop = StopRule{.max_reps = 0}}),
+      std::invalid_argument);
 }
 
 TEST(Scheduler, RejectsTrajectoryRecording) {

@@ -264,7 +264,7 @@ std::unique_ptr<Engine> make_engine(const CliOptions& opt,
   if (opt.engine == "heterogeneous") {
     // Uniform per-agent channels at the configured delta — enough to route
     // the run (and its replay digest) through the per-agent code path.
-    return std::make_unique<HeterogeneousEngine>(std::vector<NoiseMatrix>(
+    return std::make_unique<AggregateEngine>(std::vector<NoiseMatrix>(
         opt.n, NoiseMatrix::uniform(alphabet, opt.delta)));
   }
   if (opt.engine == "sequential") {
@@ -465,9 +465,9 @@ int run_lumped_reps(const CliOptions& opt, std::uint64_t h, PullOutcome& out) {
 int run_pull_reps(const CliOptions& opt, std::uint64_t h, PullOutcome& out) {
   if (opt.engine == "lumped") return run_lumped_reps(opt, h, out);
   if (opt.engine == "heterogeneous" && opt.burst_rate > 0.0) {
-    // Bursts swap the channel passed to step(); HeterogeneousEngine ignores
-    // that argument in favour of its per-agent matrices, so the burst would
-    // be counted but never applied.
+    // Bursts swap the channel passed to step(); per-agent AggregateEngine
+    // ignores that argument in favour of its per-agent matrices, so the
+    // burst would be counted but never applied.
     std::fprintf(stderr,
                  "error: --engine heterogeneous does not compose with "
                  "--burst-rate (its per-agent channels ignore the burst's "
