@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <numeric>
+#include <span>
 
 #include "noisypull/common/check.hpp"
 
@@ -47,5 +48,26 @@ struct SymbolCounts {
 
   void clear() noexcept { c.fill(0); }
 };
+
+// Number of entries of v equal to s.  Fixed 128-entry chunks with a
+// byte-wide tally: a constant trip count that fills whole vectors is what
+// GCC's -O2 vectorizer accepts, and a chunk's tally (<= 128) cannot
+// overflow its byte.
+inline std::uint64_t count_equal(std::span<const std::uint8_t> v,
+                                 std::uint8_t s) noexcept {
+  constexpr std::size_t kChunk = 128;
+  const std::size_t n = v.size();
+  std::uint64_t count = 0;
+  std::size_t i = 0;
+  for (; i + kChunk <= n; i += kChunk) {
+    std::uint8_t chunk = 0;
+    for (std::size_t j = 0; j < kChunk; ++j) {
+      chunk = static_cast<std::uint8_t>(chunk + (v[i + j] == s ? 1 : 0));
+    }
+    count += chunk;
+  }
+  for (; i < n; ++i) count += v[i] == s ? 1 : 0;
+  return count;
+}
 
 }  // namespace noisypull

@@ -41,6 +41,11 @@ class SourceFilter : public PullProtocol {
   void update(std::uint64_t agent, std::uint64_t round,
               const SymbolCounts& obs, Rng& rng) override;
   Opinion opinion(std::uint64_t agent) const override;
+  void display_all(std::uint64_t round, Symbol* out) const override;
+  void update_block(std::uint64_t begin, std::uint64_t end,
+                    std::uint64_t round, const ObservationLaw& law,
+                    Rng& rng) override;
+  std::uint64_t count_opinion(Opinion o) const override;
   std::uint64_t planned_rounds() const override {
     return schedule_.total_rounds();
   }
@@ -68,19 +73,34 @@ class SourceFilter : public PullProtocol {
   const PopulationConfig pop_;
   const SfSchedule schedule_;
 
-  struct AgentState {
-    std::uint64_t counter1 = 0;    // 1s observed in Phase 0
-    std::uint64_t counter0 = 0;    // 0s observed in Phase 1
-    std::uint64_t boost_ones = 0;  // 1s observed in the current sub-phase
-    std::uint64_t boost_total = 0;
-    Opinion weak = 0;
-    Opinion current = 0;
-  };
-  std::vector<AgentState> agents_;
+  // Agent state, one array per field (34 B per agent): the bulk methods
+  // stream only the fields a round touches — boosting rounds read and write
+  // boost_ones_/boost_total_, display_all() and count_opinion() read the
+  // n-byte current_ alone — and construction zero-fills six arrays with no
+  // per-agent pass.
+  std::vector<std::uint64_t> counter1_;     // 1s observed in Phase 0
+  std::vector<std::uint64_t> counter0_;     // 0s observed in Phase 1
+  std::vector<std::uint64_t> boost_ones_;   // 1s observed in the current
+  std::vector<std::uint64_t> boost_total_;  //   sub-phase, of boost_total_
+  std::vector<Opinion> weak_;     // weak opinion Ŷ, set as Phase 1 ends
+  std::vector<Opinion> current_;  // opinion Y, displayed while boosting
 
  private:
-  void finish_listening(AgentState& a, Rng& rng);
-  void finish_subphase(AgentState& a, Rng& rng);
+  // What a round does to each agent.  One round has one class, so the bulk
+  // update classifies it once per block.
+  enum class RoundClass : std::uint8_t {
+    Listen0,      // Phase 0: count observed 1s
+    Listen1,      // Phase 1: count observed 0s
+    LastListen1,  // last Phase 1 round: count, then form the weak opinion
+    Boost,        // boosting: tally the sub-phase's observations
+    SubphaseEnd,  // last round of a sub-phase: tally, then adopt majority
+    Done,         // past the horizon: the protocol has terminated
+  };
+  RoundClass classify(std::uint64_t round) const noexcept;
+  void apply(RoundClass k, std::uint64_t agent, const SymbolCounts& obs,
+             Rng& rng);
+  void finish_listening(std::uint64_t agent, Rng& rng);
+  void finish_subphase(std::uint64_t agent, Rng& rng);
 };
 
 }  // namespace noisypull

@@ -33,11 +33,10 @@ void AlternatingSourceFilter::update(std::uint64_t agent, std::uint64_t round,
     // Count against the bit we displayed ourselves: observed 1s while
     // displaying 0 and observed 0s while displaying 1 — the per-agent
     // analogue of SF's phase counters.
-    AgentState& a = agents_[agent];
     if (nonsource_listen_display(agent, round) == 0) {
-      a.counter1 += obs[1];
+      counter1_[agent] += obs[1];
     } else {
-      a.counter0 += obs[0];
+      counter0_[agent] += obs[0];
     }
     if (round + 1 == schedule_.boosting_start()) {
       // Delegate the weak-opinion computation / boosting reset to the base
@@ -48,6 +47,20 @@ void AlternatingSourceFilter::update(std::uint64_t agent, std::uint64_t round,
     return;
   }
   SourceFilter::update(agent, round, obs, rng);
+}
+
+void AlternatingSourceFilter::update_block(std::uint64_t begin,
+                                           std::uint64_t end,
+                                           std::uint64_t round,
+                                           const ObservationLaw& law,
+                                           Rng& rng) {
+  // Listening rounds go through the per-agent default, hence through the
+  // update() override above; SF's block kernel would bypass it.
+  if (round < schedule_.boosting_start()) {
+    PullProtocol::update_block(begin, end, round, law, rng);
+    return;
+  }
+  SourceFilter::update_block(begin, end, round, law, rng);
 }
 
 TaglessSsf::TaglessSsf(const PopulationConfig& pop, Holdings h,

@@ -52,6 +52,9 @@ class AlternatingSourceFilter final : public SourceFilter {
 
   void update(std::uint64_t agent, std::uint64_t round,
               const SymbolCounts& obs, Rng& rng) override;
+  void update_block(std::uint64_t begin, std::uint64_t end,
+                    std::uint64_t round, const ObservationLaw& law,
+                    Rng& rng) override;
 
  protected:
   Symbol nonsource_listen_display(std::uint64_t agent,

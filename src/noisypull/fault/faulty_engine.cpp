@@ -17,7 +17,11 @@ constexpr std::uint64_t kDropSalt = 0x94d049bb133111ebULL;
 
 // The protocol proxy handed to the wrapped engine: forges Byzantine
 // displays, swallows updates of stalled agents, and binomially thins
-// observation counts for drop faults.  Everything else forwards.
+// observation counts for drop faults.  Everything else forwards — except
+// display_all() and update_block(), which keep PullProtocol's per-agent
+// defaults so that every agent's display and update pass through the
+// overrides below (forwarding them would hand the engine the base
+// protocol's unfaulted bulk calls).
 class FaultedProtocolView final : public PullProtocol {
  public:
   FaultedProtocolView(FaultyEngine& eng, PullProtocol& base)
@@ -30,6 +34,9 @@ class FaultedProtocolView final : public PullProtocol {
   }
   Opinion opinion(std::uint64_t agent) const override {
     return base_.opinion(agent);
+  }
+  std::uint64_t count_opinion(Opinion o) const override {
+    return base_.count_opinion(o);
   }
 
   Symbol display(std::uint64_t agent, std::uint64_t round) const override {

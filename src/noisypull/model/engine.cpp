@@ -46,15 +46,19 @@ void Engine::for_each_block(std::uint64_t n, std::uint64_t round_key,
 
 std::array<std::uint64_t, kMaxAlphabet> Engine::display_histogram(
     const PullProtocol& protocol, std::uint64_t round) {
-  std::array<std::uint64_t, kMaxAlphabet> c{};
-  const std::uint64_t n = protocol.num_agents();
   const std::size_t d = protocol.alphabet_size();
+  displays_.resize(protocol.num_agents());
+  protocol.display_all(round, displays_.data());
   absorb_round(round);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Symbol s = protocol.display(i, round);
+  for (const Symbol s : displays_) {
     NOISYPULL_ASSERT(s < d);
     absorb_display(s);
-    ++c[s];
+  }
+  // Counted apart from the FNV chain: an increment of c[s] in that loop is
+  // a second serial chain, through memory, and the slower of the two.
+  std::array<std::uint64_t, kMaxAlphabet> c{};
+  for (std::size_t s = 0; s < d; ++s) {
+    c[s] = count_equal(displays_, static_cast<Symbol>(s));
   }
   return c;
 }
@@ -79,13 +83,8 @@ void ExactEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
   // Snapshot displays: all messages of a round are chosen before any
   // observation of that round is delivered (model step 1 precedes step 4).
   // Serial, in agent-index order — this is the digest-absorbing phase.
-  displays_.resize(n);
-  absorb_round(round);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    displays_[i] = protocol.display(i, round);
-    NOISYPULL_ASSERT(displays_[i] < d);
-    absorb_display(displays_[i]);
-  }
+  display_histogram(protocol, round);
+  const Symbol* snapshot = displays().data();
 
   // Sampling + update phase: reads the frozen display snapshot, writes only
   // per-agent protocol state — block-parallel on counter substreams.
@@ -98,7 +97,7 @@ void ExactEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
           for (std::uint64_t k = 0; k < h; ++k) {
             const std::uint64_t j =
                 brng.next_below(n);  // with replacement; may be i
-            Symbol received = noise.corrupt(displays_[j], brng);
+            Symbol received = noise.corrupt(snapshot[j], brng);
             if (artificial_) received = artificial_->corrupt(received, brng);
             ++obs[received];
           }
@@ -203,26 +202,16 @@ void AggregateEngine::step(PullProtocol& protocol, const NoiseMatrix& noise,
                        sampler_cache(), group_sizes_[g]);
   }
 
-  // Hoisted out of the per-agent loop: the shared mode's null group_of
-  // keeps it to one sampler without touching per_agent_ per agent.
-  const ObservationSampler* samplers = samplers_.data();
-  const std::uint32_t* group_of = shared ? nullptr : group_of_.data();
+  // The round's observation law, handed to the protocol one block at a
+  // time: the shared mode's null group_of keeps every agent on one sampler
+  // without touching per_agent_ per agent.
+  const ObservationLaw law{samplers_.data(),
+                           shared ? nullptr : group_of_.data()};
   const std::uint64_t round_key = rng.next();
   for_each_block(n, round_key,
-                 [&, samplers, group_of](std::uint64_t begin, std::uint64_t end,
-                                         Rng& brng) {
-        SymbolCounts obs(d);
-        for (std::uint64_t i = begin; i < end; ++i) {
-          obs.clear();
-          // group_of holds 32-bit ids; widen explicitly so every index
-          // expression in the engines is 64-bit before arithmetic
-          // (clang-tidy bugprone-implicit-widening gate, .clang-tidy).
-          const std::size_t g =
-              group_of == nullptr ? 0 : static_cast<std::size_t>(group_of[i]);
-          samplers[g].sample(brng, obs);
-          protocol.update(i, round, obs, brng);
-        }
-      });
+                 [&](std::uint64_t begin, std::uint64_t end, Rng& brng) {
+                   protocol.update_block(begin, end, round, law, brng);
+                 });
 }
 
 void SequentialEngine::set_artificial_noise(std::optional<Matrix> p) {

@@ -26,7 +26,9 @@
 // so the trajectory (and hence the replay digest) is a function of seed and
 // configuration alone, bit-identical for 1 and T threads.  The serial
 // display/digest phase precedes the parallel phase, which only writes
-// per-agent protocol state (the update() contract in core/protocol.hpp).
+// per-agent protocol state (the update_block() contract in
+// core/protocol.hpp): AggregateEngine hands each block to the protocol in
+// one update_block() call.
 // SequentialEngine is inherently order-dependent and ignores set_threads().
 //
 // Both engines can apply an "artificial noise" matrix P to every observation
@@ -111,11 +113,16 @@ class Engine {
     digest_ = fnv::hash_byte(digest_, s);
   }
 
-  // Snapshot display histogram of one round (c[σ] = number of agents
-  // displaying σ), folded into the replay digest along the way — the shared
-  // first step of every aggregate-style engine.
+  // The display phase every engine starts a round with: fills displays()
+  // through one PullProtocol::display_all() call, folds the round and the
+  // display vector into the replay digest, and returns the snapshot
+  // histogram (c[σ] = number of agents displaying σ).
   std::array<std::uint64_t, kMaxAlphabet> display_histogram(
       const PullProtocol& protocol, std::uint64_t round);
+
+  // The display vector of the last display_histogram() call.  Sized on the
+  // first step, not at construction.
+  const std::vector<Symbol>& displays() const noexcept { return displays_; }
 
   // Runs body(begin, end, block_rng) for every block [begin, end) of
   // [0, n), where block b's rng is Rng(round_key, b) — serially when lanes
@@ -129,6 +136,7 @@ class Engine {
 
  private:
   std::uint64_t digest_ = fnv::kOffsetBasis;
+  std::vector<Symbol> displays_;  // display_histogram's buffer
   unsigned lanes_ = 1;
   bool sampler_cache_ = true;
   std::unique_ptr<ThreadPool> pool_;  // null when lanes_ == 1
@@ -142,7 +150,6 @@ class ExactEngine final : public Engine {
 
  private:
   std::optional<NoiseMatrix> artificial_;
-  std::vector<Symbol> displays_;  // scratch, reused across rounds
 };
 
 // Channel groups: agents whose effective channel (their matrix composed with

@@ -192,9 +192,7 @@ void ObservationSampler::split(Rng& rng, std::uint64_t k,
   }
 }
 
-void ObservationSampler::sample(Rng& rng, SymbolCounts& obs) const {
-  NOISYPULL_CHECK(obs.size == d_,
-                  "observation buffer does not match the sampler alphabet");
+void ObservationSampler::sample_uncached(Rng& rng, SymbolCounts& obs) const {
   if (mode_ == Mode::Decomposition) {
     sample_multinomial(rng, h_, std::span<const double>(weights_.data(), d_),
                        std::span<std::uint64_t>(obs.c.data(), d_));
@@ -202,17 +200,6 @@ void ObservationSampler::sample(Rng& rng, SymbolCounts& obs) const {
   }
 
   const double target = rng.next_double() * total_mass_;
-  if (!cum_.empty()) {
-    const std::size_t idx = search(target);
-    if (d_ == 2) {
-      obs.c[0] = h_ - static_cast<std::uint64_t>(idx);
-      obs.c[1] = static_cast<std::uint64_t>(idx);
-    } else {
-      for (std::size_t s = 0; s < d_; ++s) obs.c[s] = outcomes_[idx][s];
-    }
-    return;
-  }
-
   // Uncached: linear walk over the identical partial sums.
   double acc = 0.0;
   bool found = false;

@@ -50,6 +50,7 @@
 #include <span>
 #include <vector>
 
+#include "noisypull/common/check.hpp"
 #include "noisypull/common/symbols.hpp"
 #include "noisypull/rng/rng.hpp"
 
@@ -85,8 +86,24 @@ class ObservationSampler {
 
   // Draws one count vector into obs (obs.size must equal d).  Thread-safe:
   // const, touches only the given rng and obs.  InverseCdf mode consumes
-  // exactly one uniform per draw in both cache settings.
-  void sample(Rng& rng, SymbolCounts& obs) const;
+  // exactly one uniform per draw in both cache settings.  The cached
+  // inverse-CDF draw is defined here so the engines' per-agent loops can
+  // inline it; the decomposition and the uncached walk stay out of line.
+  void sample(Rng& rng, SymbolCounts& obs) const {
+    NOISYPULL_CHECK(obs.size == d_,
+                    "observation buffer does not match the sampler alphabet");
+    if (mode_ == Mode::Decomposition || cum_.empty()) {
+      sample_uncached(rng, obs);
+      return;
+    }
+    const std::size_t idx = search(rng.next_double() * total_mass_);
+    if (d_ == 2) {
+      obs.c[0] = h_ - static_cast<std::uint64_t>(idx);
+      obs.c[1] = static_cast<std::uint64_t>(idx);
+    } else {
+      for (std::size_t s = 0; s < d_; ++s) obs.c[s] = outcomes_[idx][s];
+    }
+  }
 
   // Size of the enumerated outcome space.  InverseCdf mode only.
   std::uint64_t num_outcomes() const noexcept { return outcome_count_; }
@@ -148,6 +165,10 @@ class ObservationSampler {
 
   double outcome_pmf(std::span<const std::uint64_t> counts) const;
 
+  // sample() without a cached table: the conditional-binomial decomposition,
+  // or the inverse-CDF walk over the identical partial sums.
+  void sample_uncached(Rng& rng, SymbolCounts& obs) const;
+
   std::uint64_t h_ = 0;
   std::size_t d_ = 0;
   Mode mode_ = Mode::Decomposition;
@@ -173,6 +194,24 @@ class ObservationSampler {
   // Outcome decode for d > 2 (binary outcomes decode analytically:
   // index k → counts (h−k, k) under the canonical enumeration).
   std::vector<std::array<std::uint32_t, kMaxAlphabet>> outcomes_;
+};
+
+// The per-agent observation law of one round, as the engines hand it to
+// PullProtocol::update_block (core/protocol.hpp): agent i draws from
+// samplers[group_of[i]], or from samplers[0] when group_of is null (shared
+// mode: every agent sees the same channel).
+struct ObservationLaw {
+  const ObservationSampler* samplers = nullptr;
+  const std::uint32_t* group_of = nullptr;
+
+  const ObservationSampler& of(std::uint64_t agent) const noexcept {
+    // group_of holds 32-bit ids; widen explicitly so every index expression
+    // is 64-bit before arithmetic (clang-tidy bugprone-implicit-widening
+    // gate, .clang-tidy).
+    return group_of == nullptr
+               ? samplers[0]
+               : samplers[static_cast<std::size_t>(group_of[agent])];
+  }
 };
 
 }  // namespace noisypull
